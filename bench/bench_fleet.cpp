@@ -14,11 +14,14 @@
 //  * checkpointing overhead — the same workload run uninterrupted vs
 //    chunked with a checkpoint after every chunk, as a slowdown
 //    factor; the trace hashes must match, or the numbers are void;
-//  * fleet throughput — a clean seed-sweep campaign end to end
-//    (fork, pipe, reap) at 1 and 4 workers, in runs per second.
+//  * fleet throughput — a clean seed-sweep campaign of 16-core matmul
+//    runs end to end (fork, pipe, reap) at 1 and 4 workers, in runs per
+//    second. Each run simulates for a few hundred milliseconds, so the
+//    cell shows how campaigns scale across host cpus — the repo's only
+//    host parallelism — rather than fork overhead.
 //
 // Results land in BENCH_fleet.json so the cost trajectory is recorded
-// per commit. Exit nonzero on any identity violation.
+// per commit. Exit nonzero on any identity violation or failed run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +29,7 @@
 #include "fleet/Fleet.h"
 #include "sim/Machine.h"
 #include "sim/Snapshot.h"
+#include "workloads/MatMul.h"
 #include "workloads/Phases.h"
 
 #include <chrono>
@@ -44,17 +48,20 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-assembler::Program phasesImage(unsigned Cores) {
-  workloads::PhasesSpec Spec;
-  Spec.NumHarts = 4 * Cores;
-  assembler::AsmResult R =
-      assembler::assemble(workloads::buildPhasesProgram(Spec));
+assembler::Program assembleOrDie(const std::string &Source) {
+  assembler::AsmResult R = assembler::assemble(Source);
   if (!R.succeeded()) {
     std::fprintf(stderr, "bench_fleet: assembly failed:\n%s",
                  R.errorText().c_str());
     std::exit(1);
   }
   return std::move(R.Prog);
+}
+
+assembler::Program phasesImage(unsigned Cores) {
+  workloads::PhasesSpec Spec;
+  Spec.NumHarts = 4 * Cores;
+  return assembleOrDie(workloads::buildPhasesProgram(Spec));
 }
 
 struct SnapshotCost {
@@ -155,6 +162,10 @@ CheckpointOverhead measureCheckpointing(unsigned Cores,
   return O;
 }
 
+/// The fleet cell's machine size: the lbp_fleet `--workload matmul
+/// --cores 16` campaign.
+constexpr unsigned FleetCores = 16;
+
 struct FleetThroughput {
   unsigned Workers = 0;
   unsigned Runs = 0;
@@ -164,13 +175,16 @@ struct FleetThroughput {
 
 /// A clean seed-sweep campaign end to end: process fan-out included.
 FleetThroughput measureFleet(unsigned Workers, unsigned Runs) {
+  workloads::MatMulSpec Spec;
+  Spec.NumHarts = 4 * FleetCores;
+  Spec.Version = workloads::MatMulVersion::Distributed;
   std::vector<assembler::Program> Images;
-  Images.push_back(phasesImage(4));
+  Images.push_back(assembleOrDie(workloads::buildMatMulProgram(Spec)));
   std::vector<fleet::RunSpec> Specs;
   for (unsigned I = 0; I != Runs; ++I) {
     fleet::RunSpec S;
-    S.Name = "phases-seed" + std::to_string(I + 1);
-    S.Cfg = sim::SimConfig::lbp(4);
+    S.Name = "matmul-seed" + std::to_string(I + 1);
+    S.Cfg = sim::SimConfig::lbp(FleetCores);
     S.Cfg.Faults.Seed = I + 1;
     Specs.push_back(std::move(S));
   }
@@ -237,11 +251,12 @@ int main(int argc, char **argv) {
   }
 
   std::vector<FleetThroughput> Fleets;
-  unsigned Runs = Quick ? 4 : 16;
+  unsigned Runs = Quick ? 4 : 8;
   for (unsigned Workers : {1u, 4u}) {
     Fleets.push_back(measureFleet(Workers, Runs));
-    std::printf("fleet %u workers: %u runs in %.3f s (%.1f runs/s)\n",
-                Fleets.back().Workers, Fleets.back().Runs,
+    std::printf("fleet %u workers: %u %u-core matmul runs in %.3f s "
+                "(%.2f runs/s)\n",
+                Fleets.back().Workers, Fleets.back().Runs, FleetCores,
                 Fleets.back().Seconds, Fleets.back().RunsPerSec);
   }
 
@@ -276,10 +291,12 @@ int main(int argc, char **argv) {
   std::fprintf(F, "  ],\n  \"fleet\": [\n");
   for (size_t I = 0; I != Fleets.size(); ++I)
     std::fprintf(F,
-                 "    {\"workers\": %u, \"runs\": %u, \"seconds\": %.4f, "
+                 "    {\"workload\": \"matmul\", \"cores\": %u, "
+                 "\"workers\": %u, \"runs\": %u, \"seconds\": %.4f, "
                  "\"runs_per_sec\": %.2f}%s\n",
-                 Fleets[I].Workers, Fleets[I].Runs, Fleets[I].Seconds,
-                 Fleets[I].RunsPerSec, I + 1 == Fleets.size() ? "" : ",");
+                 FleetCores, Fleets[I].Workers, Fleets[I].Runs,
+                 Fleets[I].Seconds, Fleets[I].RunsPerSec,
+                 I + 1 == Fleets.size() ? "" : ",");
   std::fprintf(F, "  ]\n}\n");
   std::fclose(F);
   std::printf("wrote %s\n", OutPath.c_str());

@@ -5,32 +5,32 @@
 //===----------------------------------------------------------------------===//
 //
 // Measures how fast the simulator itself runs (simulated cycles per host
-// second and host MIPS) across the three engines: the reference loop
-// (FastPath off), the fast path, and the sharded parallel engine at a
-// sweep of host thread counts. Every run is also a differential check:
-// all engines and thread counts must agree bit for bit on traceHash(),
-// cycles(), retired() and RunStatus, or the bench exits non-zero — in
-// --quick mode too. A speedup that changes the event stream is a bug,
-// not a result.
+// second and host MIPS) on both engines: the reference loop (FastPath
+// off) and the fast path. Every run is also a differential check: the
+// engines must agree bit for bit on traceHash(), cycles(), retired() and
+// RunStatus. A speedup that changes the event stream is a bug, not a
+// result.
 //
-// The bench also asserts the serial engines' zero-steady-state
-// allocation property: after a warm-up prefix of the periodic barrier
-// workload, the rest of the run must perform no heap allocation at all
-// (counted by this TU's global operator new). Results are written as
-// JSON (default BENCH_simspeed.json; schema in docs/PERFORMANCE.md) so
-// CI can record the perf trajectory per PR.
+// The bench also asserts the engines' zero-steady-state allocation
+// property: after a warm-up prefix of the periodic barrier workload, the
+// rest of the run must perform no heap allocation at all (counted by
+// this TU's global operator new). Results are written as JSON (default
+// BENCH_simspeed.json; schema in docs/PERFORMANCE.md) so CI can record
+// the perf trajectory per PR.
 //
 // With --counters the bench additionally measures the observability
 // layer's cost (docs/OBSERVABILITY.md): the barrier workload runs with
-// SimConfig::CollectCounters off and on, the trace hashes must match
-// (counters are hash-neutral by construction), the steady-state
-// allocation property must hold with the counters armed, and the
-// enabled-vs-disabled overhead is printed and recorded in the JSON
-// (expected within a few percent; the sink is one virtual call per
-// event).
+// SimConfig::CollectCounters off and on, and with interval digests off
+// and on. The trace hashes must match (both are hash-neutral by
+// construction), the steady-state allocation property must hold with
+// each armed, and the overheads are recorded in the JSON.
 //
-// Usage: bench_simspeed [--quick] [--out FILE] [--threads LIST]
-//                       [--engines LIST] [--counters]
+// Every pass/fail property is a gate, evaluated before the JSON is
+// written and listed in its "gates" array; "exit_reason" names the first
+// failing gate, and the exit status is 0 exactly when it says "ok".
+//
+// Usage: bench_simspeed [--quick] [--out FILE] [--engines LIST]
+//                       [--counters] [--perturb N]
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +51,6 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -94,6 +93,15 @@ namespace {
 
 constexpr uint32_t OutBase = 0x20000200;
 
+/// A broken bench input or run (assembly failure, a run that does not
+/// exit cleanly, a wrong result): there is nothing to measure, so the
+/// bench stops before writing any JSON. main() deletes a stale output
+/// file first, so no earlier verdict can outlive the failure.
+[[noreturn]] void die(const char *Msg) {
+  std::fprintf(stderr, "bench_simspeed: %s\n", Msg);
+  std::exit(1);
+}
+
 /// A barrier-heavy program: `Rounds` back-to-back parallel regions whose
 /// workers do almost nothing, so the fork protocol, the in-order p_ret
 /// barrier chain and the quiescent waits between team members dominate.
@@ -121,6 +129,15 @@ worker:
 )";
 }
 
+assembler::Program assembleOrDie(const std::string &Source) {
+  assembler::AsmResult R = assembler::assemble(Source);
+  if (!R.succeeded()) {
+    std::fprintf(stderr, "%s", R.errorText().c_str());
+    die("bench program failed to assemble");
+  }
+  return std::move(R.Prog);
+}
+
 struct Fingerprint {
   sim::RunStatus Status = sim::RunStatus::MaxCycles;
   uint64_t Cycles = 0;
@@ -133,46 +150,48 @@ struct Fingerprint {
   }
 };
 
-/// One (engine, thread-count) cell of the comparison matrix.
+/// One engine cell of a workload.
 struct EngineResult {
-  std::string Engine; ///< "reference", "fastpath" or "parallel-tN".
-  unsigned HostThreads = 1;
+  std::string Engine; ///< "reference" or "fastpath".
   Fingerprint Fp;
   double HostSeconds = 0.0;
   double CyclesPerSec = 0.0;
   double Mips = 0.0;
   long PeakRssKb = 0;
-  bool Identical = true; ///< Fingerprint matches the reference engine.
+  bool Identical = true; ///< Fingerprint matches the first cell's.
   std::string EngineUsed; ///< Machine::engineName() after the run.
-  std::string EngineNote; ///< Non-empty when a knob changed the engine.
-  sim::Machine::EngineStats Stats; ///< Epoch machinery statistics.
 };
 
 struct WorkloadResult {
   std::string Name;
   unsigned Cores = 0;
   std::vector<EngineResult> Engines;
-  double FastSpeedup = 0.0;     ///< reference time / fastpath time.
-  double ParallelSpeedup = 0.0; ///< fastpath time / best parallel time.
+  double FastSpeedup = 0.0; ///< reference time / fastpath time.
 };
 
-/// One engine cell that broke bit-identity. Divergences no longer kill
-/// the bench before the JSON lands: they are collected here, written
-/// into the payload (exit_reason + divergences), and only then turn
-/// into the nonzero exit status — so CI artifacts always say *why* the
-/// bench failed, not just that it did. Both cells of the mismatched
-/// pair are named in full (engine + host threads each side) so a triage
-/// run is launchable from the JSON alone — and one is in fact launched
-/// right here: TriageJson holds the embedded lbp-triage-report-v1
-/// document localizing the first divergent trace event.
+/// One engine cell that broke bit-identity, recorded in the JSON with an
+/// embedded lbp-triage-report-v1 document localizing the first divergent
+/// trace event, so CI artifacts always say *why* the bench failed.
 struct DivergenceRecord {
   std::string Workload;
   std::string RefEngine, Engine;
-  unsigned RefThreads = 1, Threads = 1;
   Fingerprint Ref, Got;
   std::string TriageJson;
 };
 std::vector<DivergenceRecord> Divergences;
+
+/// One pass/fail property with its measured value. AtLeast selects the
+/// comparison: value >= threshold passes, otherwise value <= threshold.
+struct Gate {
+  std::string Name;
+  double Value = 0.0;
+  double Threshold = 0.0;
+  bool AtLeast = false;
+
+  bool pass() const {
+    return AtLeast ? Value >= Threshold : Value <= Threshold;
+  }
+};
 
 long peakRssKb() {
   struct rusage Ru;
@@ -182,33 +201,24 @@ long peakRssKb() {
 }
 
 /// One timed run. Only Machine::run is on the clock; assembly and image
-/// load are setup. Verification is the caller's job (via the hook) —
-/// a bench must never report numbers from a broken run.
+/// load are setup. The run must exit cleanly and pass \p Verify — a bench
+/// must never report numbers from a broken run.
 EngineResult timedRun(const assembler::Program &Prog, sim::SimConfig Cfg,
-                      const std::string &Engine, bool FastPath,
-                      unsigned HostThreads,
+                      const std::string &Engine,
                       const std::function<void(sim::Machine &)> &Verify) {
-  Cfg.FastPath = FastPath;
-  Cfg.HostThreads = HostThreads;
-  // The bench measures the sharded engine itself, not the host's cpu
-  // count: spawn the requested workers even when oversubscribed. The
-  // JSON records the hardware concurrency next to each cell so readers
-  // can judge which timings had real cpus behind them.
-  Cfg.OversubscribeHost = true;
+  Cfg.FastPath = Engine == "fastpath";
   sim::Machine M(Cfg);
   M.load(Prog);
   auto T0 = std::chrono::steady_clock::now();
   sim::RunStatus S = M.run();
   auto T1 = std::chrono::steady_clock::now();
   if (S != sim::RunStatus::Exited) {
-    std::fprintf(stderr, "bench_simspeed: %s run did not exit cleanly: %s\n",
-                 Engine.c_str(), M.faultMessage().c_str());
-    std::exit(1);
+    std::fprintf(stderr, "%s: %s\n", Engine.c_str(), M.faultMessage().c_str());
+    die("a bench run did not exit cleanly");
   }
   Verify(M);
   EngineResult R;
   R.Engine = Engine;
-  R.HostThreads = HostThreads;
   R.Fp = {S, M.cycles(), M.retired(), M.traceHash()};
   R.HostSeconds = std::chrono::duration<double>(T1 - T0).count();
   if (R.HostSeconds > 0.0) {
@@ -217,8 +227,6 @@ EngineResult timedRun(const assembler::Program &Prog, sim::SimConfig Cfg,
   }
   R.PeakRssKb = peakRssKb();
   R.EngineUsed = M.engineName();
-  R.EngineNote = M.engineNote();
-  R.Stats = M.engineStats();
   return R;
 }
 
@@ -226,111 +234,69 @@ struct Options {
   bool Quick = false;
   bool Counters = false;
   std::string OutPath = "BENCH_simspeed.json";
-  std::vector<unsigned> Threads = {1, 2, 4, 8};
-  bool RunReference = true, RunFastPath = true, RunParallel = true;
+  bool RunReference = true, RunFastPath = true;
   /// Nonzero arms SimConfig::PerturbForTest at that cycle on every
   /// workload cell — a seeded divergence that exercises the whole
   /// divergence -> triage -> JSON pipeline (CI smoke).
   uint64_t Perturb = 0;
 };
 
-/// Rebuilds the exact config of a matrix cell for the triage replay.
-obs::TriageRunSpec triageSpecFor(const EngineResult &E,
-                                 sim::SimConfig Cfg) {
-  Cfg.FastPath = E.Engine != "reference";
-  Cfg.HostThreads = E.HostThreads;
-  Cfg.OversubscribeHost = true; // timedRun forces real shard workers
-  obs::TriageRunSpec S;
-  S.Name = E.Engine;
-  S.Cfg = Cfg;
-  return S;
-}
-
 WorkloadResult
 runWorkload(const Options &Opt, const std::string &Name,
             const std::string &Source, sim::SimConfig Cfg,
             const std::function<void(sim::Machine &)> &Verify) {
-  assembler::AsmResult R = assembler::assemble(Source);
-  if (!R.succeeded()) {
-    std::fprintf(stderr, "bench_simspeed: assembly of %s failed:\n%s",
-                 Name.c_str(), R.errorText().c_str());
-    std::exit(1);
-  }
+  assembler::Program Prog = assembleOrDie(Source);
   WorkloadResult W;
   W.Name = Name;
   W.Cores = Cfg.NumCores;
   Cfg.PerturbForTest = Opt.Perturb;
 
-  // The reference fingerprint every other cell is compared against.
-  // When --engines excludes "reference", the fastpath run seeds it
-  // (the thread sweep is still checked against something serial).
   if (Opt.RunReference)
-    W.Engines.push_back(
-        timedRun(R.Prog, Cfg, "reference", /*FastPath=*/false, 1, Verify));
+    W.Engines.push_back(timedRun(Prog, Cfg, "reference", Verify));
   if (Opt.RunFastPath)
-    W.Engines.push_back(
-        timedRun(R.Prog, Cfg, "fastpath", /*FastPath=*/true, 1, Verify));
-  if (Opt.RunParallel)
-    for (unsigned T : Opt.Threads)
-      W.Engines.push_back(timedRun(R.Prog, Cfg,
-                                   "parallel-t" + std::to_string(T),
-                                   /*FastPath=*/true, T, Verify));
+    W.Engines.push_back(timedRun(Prog, Cfg, "fastpath", Verify));
   if (W.Engines.empty())
     return W;
 
-  const Fingerprint &Ref = W.Engines.front().Fp;
+  const EngineResult &RefE = W.Engines.front();
   for (EngineResult &E : W.Engines) {
-    E.Identical = E.Fp == Ref;
-    if (!E.Identical) {
-      // Triage the pair on the spot: bisect the digest sequences, replay
-      // from the last agreeing snapshot and embed the first-divergent-
-      // event report in the JSON payload instead of a bare exit.
-      obs::TriageResult TR = obs::triageDivergence(
-          R.Prog, triageSpecFor(W.Engines.front(), Cfg),
-          triageSpecFor(E, Cfg));
-      DivergenceRecord D;
-      D.Workload = Name;
-      D.RefEngine = W.Engines.front().Engine;
-      D.Engine = E.Engine;
-      D.RefThreads = W.Engines.front().HostThreads;
-      D.Threads = E.HostThreads;
-      D.Ref = Ref;
-      D.Got = E.Fp;
-      D.TriageJson = obs::triageReportToJson(TR, Name);
-      Divergences.push_back(std::move(D));
-      std::fprintf(
-          stderr,
-          "bench_simspeed: ENGINE DIVERGENCE on %s (%s):\n"
-          "  %-10s cycles=%llu retired=%llu hash=%016llx\n"
-          "  %-10s cycles=%llu retired=%llu hash=%016llx\n",
-          Name.c_str(), E.Engine.c_str(), W.Engines.front().Engine.c_str(),
-          static_cast<unsigned long long>(Ref.Cycles),
-          static_cast<unsigned long long>(Ref.Retired),
-          static_cast<unsigned long long>(Ref.Hash), E.Engine.c_str(),
-          static_cast<unsigned long long>(E.Fp.Cycles),
-          static_cast<unsigned long long>(E.Fp.Retired),
-          static_cast<unsigned long long>(E.Fp.Hash));
-    }
+    E.Identical = E.Fp == RefE.Fp;
+    if (E.Identical)
+      continue;
+    // Triage the pair on the spot: bisect the digest sequences, replay
+    // from the last agreeing snapshot and embed the first-divergent-
+    // event report in the JSON payload.
+    obs::TriageRunSpec A{RefE.Engine, Cfg}, B{E.Engine, Cfg};
+    A.Cfg.FastPath = RefE.Engine == "fastpath";
+    B.Cfg.FastPath = E.Engine == "fastpath";
+    DivergenceRecord D;
+    D.Workload = Name;
+    D.RefEngine = RefE.Engine;
+    D.Engine = E.Engine;
+    D.Ref = RefE.Fp;
+    D.Got = E.Fp;
+    D.TriageJson =
+        obs::triageReportToJson(obs::triageDivergence(Prog, A, B), Name);
+    Divergences.push_back(std::move(D));
+    std::fprintf(stderr,
+                 "bench_simspeed: ENGINE DIVERGENCE on %s (%s):\n"
+                 "  %-10s cycles=%llu retired=%llu hash=%016llx\n"
+                 "  %-10s cycles=%llu retired=%llu hash=%016llx\n",
+                 Name.c_str(), E.Engine.c_str(), RefE.Engine.c_str(),
+                 static_cast<unsigned long long>(RefE.Fp.Cycles),
+                 static_cast<unsigned long long>(RefE.Fp.Retired),
+                 static_cast<unsigned long long>(RefE.Fp.Hash),
+                 E.Engine.c_str(),
+                 static_cast<unsigned long long>(E.Fp.Cycles),
+                 static_cast<unsigned long long>(E.Fp.Retired),
+                 static_cast<unsigned long long>(E.Fp.Hash));
   }
-  // A divergence is still a hard failure in every mode (--quick
-  // included), but the exit happens in main, after writeJson.
 
-  const EngineResult *RefE = nullptr, *FastE = nullptr, *BestPar = nullptr;
-  for (const EngineResult &E : W.Engines) {
-    if (E.Engine == "reference")
-      RefE = &E;
-    else if (E.Engine == "fastpath")
-      FastE = &E;
-    else if (!BestPar || E.HostSeconds < BestPar->HostSeconds)
-      BestPar = &E;
-  }
-  if (RefE && FastE && FastE->HostSeconds > 0.0)
-    W.FastSpeedup = RefE->HostSeconds / FastE->HostSeconds;
-  if (FastE && BestPar && BestPar->HostSeconds > 0.0)
-    W.ParallelSpeedup = FastE->HostSeconds / BestPar->HostSeconds;
+  if (W.Engines.size() == 2 && W.Engines[1].HostSeconds > 0.0)
+    W.FastSpeedup = W.Engines[0].HostSeconds / W.Engines[1].HostSeconds;
 
   std::printf("%-24s %3u cores  %10llu cycles", Name.c_str(), W.Cores,
-              static_cast<unsigned long long>(Ref.Cycles));
+              static_cast<unsigned long long>(RefE.Fp.Cycles));
   for (const EngineResult &E : W.Engines)
     std::printf("  %s %.1f kc/s", E.Engine.c_str(), E.CyclesPerSec / 1e3);
   std::printf("\n");
@@ -339,12 +305,9 @@ runWorkload(const Options &Opt, const std::string &Name,
 }
 
 void verifyBarrier(sim::Machine &M, unsigned Harts) {
-  for (unsigned T = 0; T != Harts; ++T) {
-    if (M.debugReadWord(OutBase + 4 * T) != T) {
-      std::fprintf(stderr, "bench_simspeed: barrier OUT[%u] wrong\n", T);
-      std::exit(1);
-    }
-  }
+  for (unsigned T = 0; T != Harts; ++T)
+    if (M.debugReadWord(OutBase + 4 * T) != T)
+      die("barrier OUT[] wrong");
 }
 
 WorkloadResult benchBarrier(const Options &Opt, unsigned Cores,
@@ -360,13 +323,10 @@ WorkloadResult benchPhases(const Options &Opt, unsigned Harts) {
   workloads::PhasesSpec Spec;
   Spec.NumHarts = Harts;
   auto Verify = [Spec](sim::Machine &M) {
-    for (unsigned T = 0; T != Spec.NumHarts; ++T) {
-      uint32_t Got = M.debugReadWord(workloads::phasesOutAddress(Spec, T));
-      if (Got != T * Spec.WordsPerChunk) {
-        std::fprintf(stderr, "bench_simspeed: phases out[%u] wrong\n", T);
-        std::exit(1);
-      }
-    }
+    for (unsigned T = 0; T != Spec.NumHarts; ++T)
+      if (M.debugReadWord(workloads::phasesOutAddress(Spec, T)) !=
+          T * Spec.WordsPerChunk)
+        die("phases out[] wrong");
   };
   sim::SimConfig Cfg = sim::SimConfig::lbp(Spec.cores());
   Cfg.GlobalBankSizeLog2 = Spec.BankSizeLog2;
@@ -379,15 +339,10 @@ WorkloadResult benchMatMul(const Options &Opt, unsigned Harts,
   workloads::MatMulSpec Spec = workloads::MatMulSpec::paper(Harts, V);
   auto Verify = [Spec](sim::Machine &M) {
     unsigned H = Spec.h();
-    for (unsigned I = 0; I < H; I += H / 8) {
-      for (unsigned J = 0; J < H; J += H / 8) {
-        if (M.debugReadWord(workloads::zElementAddress(Spec, I, J)) !=
-            H / 2) {
-          std::fprintf(stderr, "bench_simspeed: matmul Z wrong\n");
-          std::exit(1);
-        }
-      }
-    }
+    for (unsigned I = 0; I < H; I += H / 8)
+      for (unsigned J = 0; J < H; J += H / 8)
+        if (M.debugReadWord(workloads::zElementAddress(Spec, I, J)) != H / 2)
+          die("matmul Z wrong");
   };
   sim::SimConfig Cfg = sim::SimConfig::lbp(Spec.cores());
   Cfg.GlobalBankSizeLog2 = Spec.BankSizeLog2;
@@ -398,336 +353,154 @@ WorkloadResult benchMatMul(const Options &Opt, unsigned Harts,
                      workloads::buildMatMulProgram(Spec), Cfg, Verify);
 }
 
-/// Steady-state allocation check: run the periodic barrier workload to
-/// its midpoint (every vector in the machine reaches its plateau
-/// capacity during the first rounds), then count heap allocations over
-/// the rest of the run. The serial engines promise zero — the delivery
-/// wheel, DueBuf, overflow heap and trace are all capacity-reusing flat
-/// structures. Returns the post-warm-up allocation count.
-uint64_t steadyStateAllocs(bool FastPath) {
-  std::string Src = barrierProgram(/*NumHarts=*/16, /*Rounds=*/12);
-  assembler::AsmResult R = assembler::assemble(Src);
-  if (!R.succeeded()) {
-    std::fprintf(stderr, "bench_simspeed: barrier assembly failed\n");
-    std::exit(1);
-  }
-  sim::SimConfig Cfg = sim::SimConfig::lbp(4);
-  Cfg.FastPath = FastPath;
-
+/// Steady-state allocation count: runs \p Prog to its midpoint (every
+/// vector in the machine reaches its plateau capacity during the first
+/// rounds), then counts heap allocations over the rest of the run. The
+/// engines promise zero — the delivery wheel, DueBuf, overflow heap,
+/// trace, counter sink and digest ring are all capacity-reusing flat
+/// structures.
+uint64_t steadyStateAllocs(const assembler::Program &Prog,
+                           const sim::SimConfig &Cfg, unsigned Harts) {
   // Full run once to learn the total cycle count.
   sim::Machine Probe(Cfg);
-  Probe.load(R.Prog);
-  if (Probe.run() != sim::RunStatus::Exited) {
-    std::fprintf(stderr, "bench_simspeed: alloc-probe run failed\n");
-    std::exit(1);
-  }
-  uint64_t Total = Probe.cycles();
+  Probe.load(Prog);
+  if (Probe.run() != sim::RunStatus::Exited)
+    die("allocation probe run failed");
 
   // Warm-up to the midpoint, then measure the remainder.
   sim::Machine M(Cfg);
-  M.load(R.Prog);
-  if (M.run(Total / 2) != sim::RunStatus::MaxCycles) {
-    std::fprintf(stderr, "bench_simspeed: alloc warm-up ended early\n");
-    std::exit(1);
-  }
+  M.load(Prog);
+  if (M.run(Probe.cycles() / 2) != sim::RunStatus::MaxCycles)
+    die("allocation warm-up ended early");
   uint64_t Before = GAllocCount.load(std::memory_order_relaxed);
-  if (M.run() != sim::RunStatus::Exited) {
-    std::fprintf(stderr, "bench_simspeed: alloc measured run failed\n");
-    std::exit(1);
-  }
+  if (M.run() != sim::RunStatus::Exited)
+    die("allocation measured run failed");
   uint64_t After = GAllocCount.load(std::memory_order_relaxed);
-  verifyBarrier(M, 16);
+  verifyBarrier(M, Harts);
   return After - Before;
 }
 
-/// The --counters measurement: the barrier workload with the counter
-/// sink disabled vs enabled on the fast path. Dies on a hash divergence
-/// (counters must be hash-neutral) or on steady-state allocation with
-/// the counters armed; timing noise only ever changes the reported
-/// overhead, never the exit status.
-struct CounterCost {
+/// Cost of one observability knob on the barrier workload: best-of-5
+/// host time with the knob off and on, whether the trace hash stayed
+/// the same, and the steady-state allocations with the knob on.
+struct KnobCost {
   double DisabledSeconds = 0.0;
   double EnabledSeconds = 0.0;
   double OverheadPct = 0.0;
+  bool HashIdentical = true;
   uint64_t SteadyAllocs = 0;
 };
 
-CounterCost benchCounters(const Options &Opt) {
+KnobCost benchKnob(const Options &Opt, const char *What,
+                   const std::function<void(sim::SimConfig &, bool)> &Set) {
   unsigned Cores = Opt.Quick ? 4 : 16;
   unsigned Rounds = Opt.Quick ? 8 : 16;
   unsigned Harts = 4 * Cores;
-  assembler::AsmResult R = assembler::assemble(barrierProgram(Harts, Rounds));
-  if (!R.succeeded()) {
-    std::fprintf(stderr, "bench_simspeed: counter-bench assembly failed\n");
-    std::exit(1);
-  }
+  assembler::Program Prog = assembleOrDie(barrierProgram(Harts, Rounds));
   sim::SimConfig Cfg = sim::SimConfig::lbp(Cores);
 
-  std::unique_ptr<sim::Machine> Counted; // last enabled run, for the summary
-  auto Timed = [&](bool Collect, uint64_t &HashOut) -> double {
-    double Best = 0.0;
-    for (int Rep = 0; Rep != 3; ++Rep) { // best-of-3 damps host noise
+  uint64_t Hash[2] = {0, 0};
+  double Best[2] = {0.0, 0.0};
+  // Off and on alternate, so a host that slows down mid-measurement
+  // slows both sides alike; the best of 5 damps the remaining noise.
+  for (int Rep = 0; Rep != 5; ++Rep) {
+    for (int On = 0; On != 2; ++On) {
       sim::SimConfig C = Cfg;
-      C.CollectCounters = Collect;
-      auto M = std::make_unique<sim::Machine>(C);
-      M->load(R.Prog);
+      Set(C, On);
+      sim::Machine M(C);
+      M.load(Prog);
       auto T0 = std::chrono::steady_clock::now();
-      if (M->run() != sim::RunStatus::Exited) {
-        std::fprintf(stderr, "bench_simspeed: counter-bench run failed\n");
-        std::exit(1);
-      }
+      if (M.run() != sim::RunStatus::Exited)
+        die("knob-cost run failed");
       auto T1 = std::chrono::steady_clock::now();
-      verifyBarrier(*M, Harts);
-      HashOut = M->traceHash();
+      verifyBarrier(M, Harts);
+      Hash[On] = M.traceHash();
       double Sec = std::chrono::duration<double>(T1 - T0).count();
-      if (Rep == 0 || Sec < Best)
-        Best = Sec;
-      if (Collect)
-        Counted = std::move(M);
+      if (Rep == 0 || Sec < Best[On])
+        Best[On] = Sec;
     }
-    return Best;
-  };
-
-  CounterCost Cost;
-  uint64_t HashOff = 0, HashOn = 0;
-  Cost.DisabledSeconds = Timed(false, HashOff);
-  Cost.EnabledSeconds = Timed(true, HashOn);
-  if (HashOff != HashOn) {
-    std::fprintf(stderr,
-                 "bench_simspeed: counters perturbed the trace hash "
-                 "(%016llx vs %016llx)\n",
-                 static_cast<unsigned long long>(HashOff),
-                 static_cast<unsigned long long>(HashOn));
-    std::exit(1);
   }
+
+  KnobCost Cost;
+  Cost.DisabledSeconds = Best[0];
+  Cost.EnabledSeconds = Best[1];
+  Cost.HashIdentical = Hash[0] == Hash[1];
   if (Cost.DisabledSeconds > 0.0)
     Cost.OverheadPct = (Cost.EnabledSeconds - Cost.DisabledSeconds) /
                        Cost.DisabledSeconds * 100.0;
-
-  const obs::PerfCounters &PC = Counted->counters();
-  uint64_t Commits = 0;
-  for (uint64_t C : PC.CommitsPerCore)
-    Commits += C;
-  std::printf("counters: overhead %.1f%% (off %.3fs, on %.3fs)  "
-              "commits %llu, forks %llu, token-passes %llu, joins %llu, "
-              "token-latency mean %.1f cycles\n",
-              Cost.OverheadPct, Cost.DisabledSeconds, Cost.EnabledSeconds,
-              static_cast<unsigned long long>(Commits),
-              static_cast<unsigned long long>(PC.Forks),
-              static_cast<unsigned long long>(PC.TokenPasses),
-              static_cast<unsigned long long>(PC.Joins),
-              PC.TokenLatency.mean());
-
-  // Steady-state allocations with the counters armed: the sink's state
-  // is preallocated by init(), so the zero-alloc property must survive.
-  {
-    sim::SimConfig C = Cfg;
-    C.CollectCounters = true;
-    sim::Machine Probe(C);
-    Probe.load(R.Prog);
-    if (Probe.run() != sim::RunStatus::Exited) {
-      std::fprintf(stderr, "bench_simspeed: counter alloc probe failed\n");
-      std::exit(1);
-    }
-    sim::Machine M(C);
-    M.load(R.Prog);
-    if (M.run(Probe.cycles() / 2) != sim::RunStatus::MaxCycles) {
-      std::fprintf(stderr, "bench_simspeed: counter warm-up ended early\n");
-      std::exit(1);
-    }
-    uint64_t Before = GAllocCount.load(std::memory_order_relaxed);
-    if (M.run() != sim::RunStatus::Exited) {
-      std::fprintf(stderr, "bench_simspeed: counter measured run failed\n");
-      std::exit(1);
-    }
-    Cost.SteadyAllocs = GAllocCount.load(std::memory_order_relaxed) - Before;
-    if (Cost.SteadyAllocs != 0) {
-      std::fprintf(stderr,
-                   "bench_simspeed: %llu steady-state allocations with "
-                   "counters on (expected zero)\n",
-                   static_cast<unsigned long long>(Cost.SteadyAllocs));
-      std::exit(1);
-    }
-  }
+  sim::SimConfig C = Cfg;
+  Set(C, true);
+  Cost.SteadyAllocs = steadyStateAllocs(Prog, C, Harts);
+  std::printf("%s: overhead %.1f%% (off %.3fs, on %.3fs), hash %s, "
+              "%llu steady-state allocations\n",
+              What, Cost.OverheadPct, Cost.DisabledSeconds,
+              Cost.EnabledSeconds,
+              Cost.HashIdentical ? "identical" : "CHANGED",
+              static_cast<unsigned long long>(Cost.SteadyAllocs));
   return Cost;
 }
 
-/// The interval-digest cost on the same barrier workload: digesting off
-/// (DigestInterval = 0) vs on (the default 4096). The final hashes must
-/// match bit for bit (digesting only *reads* the hash accumulator) and
-/// the steady state must stay allocation-free (the ring is preallocated
-/// by configureDigests) — both are hard assertions. The timing gate
-/// (<= 1% on top of the baseline) is enforced in full mode only; quick
-/// CI runs record the number without gating on host noise.
-struct DigestCost {
-  double DisabledSeconds = 0.0;
-  double EnabledSeconds = 0.0;
-  double OverheadPct = 0.0;
-  uint64_t SteadyAllocs = 0;
-};
-
-DigestCost benchDigests(const Options &Opt) {
-  unsigned Cores = Opt.Quick ? 4 : 16;
-  unsigned Rounds = Opt.Quick ? 8 : 16;
-  unsigned Harts = 4 * Cores;
-  assembler::AsmResult R = assembler::assemble(barrierProgram(Harts, Rounds));
-  if (!R.succeeded()) {
-    std::fprintf(stderr, "bench_simspeed: digest-bench assembly failed\n");
-    std::exit(1);
-  }
-  sim::SimConfig Cfg = sim::SimConfig::lbp(Cores);
-
-  auto Timed = [&](uint64_t Interval, uint64_t &HashOut) -> double {
-    double Best = 0.0;
-    for (int Rep = 0; Rep != 3; ++Rep) { // best-of-3 damps host noise
-      sim::SimConfig C = Cfg;
-      C.DigestInterval = Interval;
-      sim::Machine M(C);
-      M.load(R.Prog);
-      auto T0 = std::chrono::steady_clock::now();
-      if (M.run() != sim::RunStatus::Exited) {
-        std::fprintf(stderr, "bench_simspeed: digest-bench run failed\n");
-        std::exit(1);
-      }
-      auto T1 = std::chrono::steady_clock::now();
-      verifyBarrier(M, Harts);
-      HashOut = M.traceHash();
-      double Sec = std::chrono::duration<double>(T1 - T0).count();
-      if (Rep == 0 || Sec < Best)
-        Best = Sec;
-    }
-    return Best;
-  };
-
-  DigestCost Cost;
-  uint64_t HashOff = 0, HashOn = 0;
-  Cost.DisabledSeconds = Timed(0, HashOff);
-  Cost.EnabledSeconds = Timed(4096, HashOn);
-  if (HashOff != HashOn) {
-    std::fprintf(stderr,
-                 "bench_simspeed: interval digests perturbed the trace "
-                 "hash (%016llx vs %016llx)\n",
-                 static_cast<unsigned long long>(HashOff),
-                 static_cast<unsigned long long>(HashOn));
-    std::exit(1);
-  }
-  if (Cost.DisabledSeconds > 0.0)
-    Cost.OverheadPct = (Cost.EnabledSeconds - Cost.DisabledSeconds) /
-                       Cost.DisabledSeconds * 100.0;
-  std::printf("digests: overhead %.1f%% (off %.3fs, on %.3fs)\n",
-              Cost.OverheadPct, Cost.DisabledSeconds, Cost.EnabledSeconds);
-
-  // Steady-state allocations with digesting armed: the ring is
-  // preallocated, so the zero-alloc property must survive.
-  {
-    sim::SimConfig C = Cfg;
-    C.DigestInterval = 4096;
-    sim::Machine Probe(C);
-    Probe.load(R.Prog);
-    if (Probe.run() != sim::RunStatus::Exited) {
-      std::fprintf(stderr, "bench_simspeed: digest alloc probe failed\n");
-      std::exit(1);
-    }
-    sim::Machine M(C);
-    M.load(R.Prog);
-    if (M.run(Probe.cycles() / 2) != sim::RunStatus::MaxCycles) {
-      std::fprintf(stderr, "bench_simspeed: digest warm-up ended early\n");
-      std::exit(1);
-    }
-    uint64_t Before = GAllocCount.load(std::memory_order_relaxed);
-    if (M.run() != sim::RunStatus::Exited) {
-      std::fprintf(stderr, "bench_simspeed: digest measured run failed\n");
-      std::exit(1);
-    }
-    Cost.SteadyAllocs = GAllocCount.load(std::memory_order_relaxed) - Before;
-    if (Cost.SteadyAllocs != 0) {
-      std::fprintf(stderr,
-                   "bench_simspeed: %llu steady-state allocations with "
-                   "digests on (expected zero)\n",
-                   static_cast<unsigned long long>(Cost.SteadyAllocs));
-      std::exit(1);
-    }
-  }
-
-  if (!Opt.Quick && Cost.OverheadPct > 1.0) {
-    std::fprintf(stderr,
-                 "bench_simspeed: interval-digest overhead %.2f%% exceeds "
-                 "the 1%% budget\n",
-                 Cost.OverheadPct);
-    std::exit(1);
-  }
-  return Cost;
+void writeKnob(std::FILE *F, const char *Key, const KnobCost &C) {
+  std::fprintf(F,
+               "  \"%s\": {\"disabled_seconds\": %.6f, "
+               "\"enabled_seconds\": %.6f, \"overhead_pct\": %.2f, "
+               "\"steady_state_allocs\": %llu, \"hash_identical\": %s},\n",
+               Key, C.DisabledSeconds, C.EnabledSeconds, C.OverheadPct,
+               static_cast<unsigned long long>(C.SteadyAllocs),
+               C.HashIdentical ? "true" : "false");
 }
 
 void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
+               const std::vector<Gate> &Gates, const std::string &ExitReason,
                uint64_t RefAllocs, uint64_t FastAllocs,
-               const CounterCost *Counters, const DigestCost *Digests) {
+               const KnobCost *Counters, const KnobCost *Digests) {
   std::FILE *F = std::fopen(Opt.OutPath.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "bench_simspeed: cannot open %s\n",
-                 Opt.OutPath.c_str());
-    std::exit(1);
-  }
+  if (!F)
+    die("cannot open the JSON output file");
   std::fprintf(F, "{\n  \"bench\": \"simspeed\",\n  \"quick\": %s,\n",
                Opt.Quick ? "true" : "false");
-  std::fprintf(F, "  \"exit_reason\": \"%s\",\n",
-               Divergences.empty() ? "ok" : "engine-divergence");
+  std::fprintf(F, "  \"exit_reason\": \"%s\",\n", ExitReason.c_str());
+  std::fprintf(F, "  \"gates\": [");
+  for (size_t I = 0; I != Gates.size(); ++I) {
+    const Gate &G = Gates[I];
+    std::fprintf(F,
+                 "%s\n    {\"name\": \"%s\", \"value\": %.6g, "
+                 "\"threshold\": %.6g, \"op\": \"%s\", \"pass\": %s}",
+                 I ? "," : "", G.Name.c_str(), G.Value, G.Threshold,
+                 G.AtLeast ? ">=" : "<=", G.pass() ? "true" : "false");
+  }
+  std::fprintf(F, "%s],\n", Gates.empty() ? "" : "\n  ");
   std::fprintf(F, "  \"divergences\": [");
   for (size_t I = 0; I != Divergences.size(); ++I) {
-    // Both cells of the mismatched pair are named in full — engine and
-    // host threads each side — so a triage run is launchable from the
-    // JSON alone; the embedded "triage" object already holds one.
     const DivergenceRecord &D = Divergences[I];
     std::fprintf(F,
                  "%s\n    {\"workload\": \"%s\", \"engine\": \"%s\", "
-                 "\"host_threads\": %u,\n"
-                 "     \"reference_engine\": \"%s\", "
-                 "\"reference_host_threads\": %u,\n"
+                 "\"reference_engine\": \"%s\",\n"
                  "     \"reference\": {\"cycles\": %llu, \"retired\": %llu, "
                  "\"trace_hash\": \"%016llx\"},\n"
                  "     \"got\": {\"cycles\": %llu, \"retired\": %llu, "
                  "\"trace_hash\": \"%016llx\"},\n"
                  "     \"triage\": %s}",
                  I ? "," : "", D.Workload.c_str(), D.Engine.c_str(),
-                 D.Threads, D.RefEngine.c_str(), D.RefThreads,
+                 D.RefEngine.c_str(),
                  static_cast<unsigned long long>(D.Ref.Cycles),
                  static_cast<unsigned long long>(D.Ref.Retired),
                  static_cast<unsigned long long>(D.Ref.Hash),
                  static_cast<unsigned long long>(D.Got.Cycles),
                  static_cast<unsigned long long>(D.Got.Retired),
                  static_cast<unsigned long long>(D.Got.Hash),
-                 D.TriageJson.empty() ? "null" : D.TriageJson.c_str());
+                 D.TriageJson.c_str());
   }
   std::fprintf(F, "%s],\n", Divergences.empty() ? "" : "\n  ");
-  std::fprintf(F, "  \"host_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(F, "  \"thread_list\": [");
-  for (size_t I = 0; I != Opt.Threads.size(); ++I)
-    std::fprintf(F, "%s%u", I ? ", " : "", Opt.Threads[I]);
-  std::fprintf(F, "],\n");
   std::fprintf(F,
                "  \"steady_state_allocs\": {\"reference\": %llu, "
                "\"fastpath\": %llu},\n",
                static_cast<unsigned long long>(RefAllocs),
                static_cast<unsigned long long>(FastAllocs));
   if (Counters)
-    std::fprintf(F,
-                 "  \"counters\": {\"disabled_seconds\": %.6f, "
-                 "\"enabled_seconds\": %.6f, \"overhead_pct\": %.2f, "
-                 "\"steady_state_allocs\": %llu, "
-                 "\"hash_identical\": true},\n",
-                 Counters->DisabledSeconds, Counters->EnabledSeconds,
-                 Counters->OverheadPct,
-                 static_cast<unsigned long long>(Counters->SteadyAllocs));
+    writeKnob(F, "counters", *Counters);
   if (Digests)
-    std::fprintf(F,
-                 "  \"digests\": {\"disabled_seconds\": %.6f, "
-                 "\"enabled_seconds\": %.6f, \"overhead_pct\": %.2f, "
-                 "\"steady_state_allocs\": %llu, "
-                 "\"hash_identical\": true},\n",
-                 Digests->DisabledSeconds, Digests->EnabledSeconds,
-                 Digests->OverheadPct,
-                 static_cast<unsigned long long>(Digests->SteadyAllocs));
+    writeKnob(F, "digests", *Digests);
   std::fprintf(F, "  \"workloads\": [\n");
   for (size_t I = 0; I != Results.size(); ++I) {
     const WorkloadResult &W = Results[I];
@@ -745,46 +518,18 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
     for (size_t J = 0; J != W.Engines.size(); ++J) {
       const EngineResult &E = W.Engines[J];
       std::fprintf(F,
-                   "        {\"engine\": \"%s\", \"host_threads\": %u, "
-                   "\"host_seconds\": %.6f, \"cycles_per_sec\": %.1f, "
-                   "\"mips\": %.3f, \"peak_rss_kb\": %ld, "
-                   "\"identical\": %s, \"engine_used\": \"%s\"",
-                   E.Engine.c_str(), E.HostThreads, E.HostSeconds,
-                   E.CyclesPerSec, E.Mips, E.PeakRssKb,
-                   E.Identical ? "true" : "false", E.EngineUsed.c_str());
-      if (!E.EngineNote.empty())
-        std::fprintf(F, ",\n         \"engine_note\": \"%s\"",
-                     E.EngineNote.c_str());
-      if (E.EngineUsed == "parallel") {
-        const sim::Machine::EngineStats &S = E.Stats;
-        std::fprintf(
-            F,
-            ",\n         \"engine_stats\": {\"workers_used\": %u, "
-            "\"epochs_merged\": %llu, \"window_cycles\": %llu, "
-            "\"gated_cycles\": %llu, \"skipped_cycles\": %llu, "
-            "\"rebalances\": %llu, \"shard_seconds\": %.6f, "
-            "\"merge_seconds\": %.6f, \"window_hist\": [",
-            S.WorkersUsed, static_cast<unsigned long long>(S.EpochsMerged),
-            static_cast<unsigned long long>(S.WindowCycles),
-            static_cast<unsigned long long>(S.GatedCycles),
-            static_cast<unsigned long long>(S.SkippedCycles),
-            static_cast<unsigned long long>(S.Rebalances),
-            static_cast<double>(S.ShardNanos) / 1e9,
-            static_cast<double>(S.MergeNanos) / 1e9);
-        for (size_t K = 0; K != sizeof(S.WindowHist) / sizeof(uint64_t);
-             ++K)
-          std::fprintf(F, "%s%llu", K ? ", " : "",
-                       static_cast<unsigned long long>(S.WindowHist[K]));
-        std::fprintf(F, "]}");
-      }
-      std::fprintf(F, "}%s\n", J + 1 == W.Engines.size() ? "" : ",");
+                   "        {\"engine\": \"%s\", \"host_seconds\": %.6f, "
+                   "\"cycles_per_sec\": %.1f, \"mips\": %.3f, "
+                   "\"peak_rss_kb\": %ld, \"identical\": %s, "
+                   "\"engine_used\": \"%s\"}%s\n",
+                   E.Engine.c_str(), E.HostSeconds, E.CyclesPerSec, E.Mips,
+                   E.PeakRssKb, E.Identical ? "true" : "false",
+                   E.EngineUsed.c_str(),
+                   J + 1 == W.Engines.size() ? "" : ",");
     }
     std::fprintf(F, "      ],\n");
-    std::fprintf(F,
-                 "      \"fastpath_speedup\": %.3f,\n"
-                 "      \"parallel_speedup\": %.3f\n    }%s\n",
-                 W.FastSpeedup, W.ParallelSpeedup,
-                 I + 1 == Results.size() ? "" : ",");
+    std::fprintf(F, "      \"fastpath_speedup\": %.3f\n    }%s\n",
+                 W.FastSpeedup, I + 1 == Results.size() ? "" : ",");
   }
   std::fprintf(F, "  ]\n}\n");
   std::fclose(F);
@@ -795,52 +540,32 @@ void printUsage(const char *Argv0) {
   std::printf(
       "usage: %s [options]\n"
       "\n"
-      "Host simulation-speed benchmark and three-way engine differential\n"
-      "(reference loop / fast path / sharded parallel engine).\n"
+      "Host simulation-speed benchmark and engine differential\n"
+      "(reference loop vs fast path).\n"
       "\n"
       "  --help           this text\n"
       "  --quick          small configs only (CI smoke)\n"
       "  --out FILE       JSON output path (default BENCH_simspeed.json)\n"
-      "  --threads LIST   comma-separated HostThreads sweep for the\n"
-      "                   parallel engine (default 1,2,4,8)\n"
-      "  --engines LIST   comma-separated subset of\n"
-      "                   reference,fastpath,parallel (default all)\n"
+      "  --engines LIST   comma-separated subset of reference,fastpath\n"
+      "                   (default both)\n"
       "  --counters       also measure the deterministic counter set's\n"
       "                   and the interval-digest ring's overhead\n"
       "                   (hash-neutrality and steady-state allocation\n"
-      "                   asserted; docs/OBSERVABILITY.md)\n"
+      "                   gated; docs/OBSERVABILITY.md)\n"
       "  --perturb N      arm SimConfig::PerturbForTest at cycle N so the\n"
-      "                   differential matrix diverges on purpose; the\n"
+      "                   differential diverges on purpose; the\n"
       "                   divergence records then embed triage reports\n"
       "\n"
-      "Exit status: 0 ok; 1 divergence, gate failure or bad run;\n"
-      "2 bad command line (e.g. unknown engine name).\n",
+      "Exit status: 0 when every gate passes (\"exit_reason\": \"ok\");\n"
+      "1 when a gate fails (exit_reason names the first) or a bench run\n"
+      "is broken (no JSON then); 2 bad command line.\n",
       Argv0);
-}
-
-bool parseThreadList(const char *Arg, std::vector<unsigned> &Out) {
-  Out.clear();
-  const char *P = Arg;
-  while (*P) {
-    char *End = nullptr;
-    unsigned long V = std::strtoul(P, &End, 10);
-    if (End == P || V == 0 || V > 256)
-      return false;
-    Out.push_back(static_cast<unsigned>(V));
-    P = End;
-    if (*P == ',')
-      ++P;
-    else if (*P)
-      return false;
-  }
-  return !Out.empty();
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
   Options Opt;
-  bool EnginesGiven = false;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--help") == 0) {
       printUsage(argv[0]);
@@ -860,15 +585,8 @@ int main(int argc, char **argv) {
                      argv[I]);
         return 2;
       }
-    } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      if (!parseThreadList(argv[++I], Opt.Threads)) {
-        std::fprintf(stderr, "bench_simspeed: bad --threads list '%s'\n",
-                     argv[I]);
-        return 2;
-      }
     } else if (std::strcmp(argv[I], "--engines") == 0 && I + 1 < argc) {
-      EnginesGiven = true;
-      Opt.RunReference = Opt.RunFastPath = Opt.RunParallel = false;
+      Opt.RunReference = Opt.RunFastPath = false;
       std::string List = argv[++I];
       size_t Pos = 0;
       while (Pos <= List.size()) {
@@ -879,12 +597,10 @@ int main(int argc, char **argv) {
           Opt.RunReference = true;
         else if (Name == "fastpath")
           Opt.RunFastPath = true;
-        else if (Name == "parallel")
-          Opt.RunParallel = true;
         else {
           std::fprintf(stderr,
                        "bench_simspeed: unknown engine '%s' (expected "
-                       "reference, fastpath or parallel)\n",
+                       "reference or fastpath)\n",
                        Name.c_str());
           return 2;
         }
@@ -899,20 +615,20 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
-  (void)EnginesGiven;
+  // No stale verdict may survive a run that dies before writing one.
+  std::remove(Opt.OutPath.c_str());
 
-  // The allocation assertion runs first (it is also a correctness run):
-  // the serial engines must not allocate in steady state.
-  uint64_t RefAllocs = steadyStateAllocs(/*FastPath=*/false);
-  uint64_t FastAllocs = steadyStateAllocs(/*FastPath=*/true);
+  // The allocation check runs first (it is also a correctness run).
+  assembler::Program AllocProg =
+      assembleOrDie(barrierProgram(/*NumHarts=*/16, /*Rounds=*/12));
+  sim::SimConfig AllocCfg = sim::SimConfig::lbp(4);
+  AllocCfg.FastPath = false;
+  uint64_t RefAllocs = steadyStateAllocs(AllocProg, AllocCfg, 16);
+  AllocCfg.FastPath = true;
+  uint64_t FastAllocs = steadyStateAllocs(AllocProg, AllocCfg, 16);
   std::printf("steady-state allocations: reference %llu, fastpath %llu\n",
               static_cast<unsigned long long>(RefAllocs),
               static_cast<unsigned long long>(FastAllocs));
-  if (RefAllocs != 0 || FastAllocs != 0) {
-    std::fprintf(stderr, "bench_simspeed: serial engines allocated in "
-                         "steady state (expected zero)\n");
-    return 1;
-  }
 
   std::vector<WorkloadResult> Results;
   if (Opt.Quick) {
@@ -930,76 +646,57 @@ int main(int argc, char **argv) {
         benchMatMul(Opt, 256, workloads::MatMulVersion::Tiled));
   }
 
-  CounterCost Counters;
-  DigestCost Digests;
+  KnobCost Counters, Digests;
   if (Opt.Counters) {
-    Counters = benchCounters(Opt);
-    Digests = benchDigests(Opt);
+    Counters = benchKnob(Opt, "counters", [](sim::SimConfig &C, bool On) {
+      C.CollectCounters = On;
+    });
+    Digests = benchKnob(Opt, "digests", [](sim::SimConfig &C, bool On) {
+      C.DigestInterval = On ? 4096 : 0;
+    });
   }
-  writeJson(Opt, Results, RefAllocs, FastAllocs,
+
+  // Every gate is evaluated here, before the JSON is written, so the
+  // file and the exit status always tell the same story.
+  std::vector<Gate> Gates;
+  Gates.push_back({"engine-divergence",
+                   static_cast<double>(Divergences.size()), 0, false});
+  Gates.push_back({"steady-state-allocs",
+                   static_cast<double>(RefAllocs + FastAllocs), 0, false});
+  if (!Opt.Quick && Opt.RunReference && Opt.RunFastPath)
+    for (const WorkloadResult &W : Results)
+      if (W.Cores == 64 && W.Name.rfind("barrier", 0) == 0)
+        Gates.push_back({"fastpath-speedup-barrier-c64", W.FastSpeedup, 3.0,
+                         true});
+  if (Opt.Counters) {
+    Gates.push_back({"counters-hash-changed",
+                     Counters.HashIdentical ? 0.0 : 1.0, 0, false});
+    Gates.push_back({"counters-steady-state-allocs",
+                     static_cast<double>(Counters.SteadyAllocs), 0, false});
+    Gates.push_back({"digests-hash-changed",
+                     Digests.HashIdentical ? 0.0 : 1.0, 0, false});
+    Gates.push_back({"digests-steady-state-allocs",
+                     static_cast<double>(Digests.SteadyAllocs), 0, false});
+    // Host noise dominates the small quick-mode runs, so the overhead
+    // budget is gated in full mode only.
+    if (!Opt.Quick)
+      Gates.push_back({"digests-overhead-pct", Digests.OverheadPct, 1.0,
+                       false});
+  }
+  std::string ExitReason = "ok";
+  for (const Gate &G : Gates) {
+    if (G.pass())
+      continue;
+    std::fprintf(stderr,
+                 "bench_simspeed: gate %s failed: %.6g (want %s %.6g)\n",
+                 G.Name.c_str(), G.Value, G.AtLeast ? ">=" : "<=",
+                 G.Threshold);
+    if (ExitReason == "ok")
+      ExitReason = G.Name;
+  }
+
+  writeJson(Opt, Results, Gates, ExitReason, RefAllocs, FastAllocs,
             Opt.Counters ? &Counters : nullptr,
             Opt.Counters ? &Digests : nullptr);
-
-  if (!Divergences.empty()) {
-    std::fprintf(stderr,
-                 "bench_simspeed: %zu engine divergence(s); see "
-                 "\"divergences\" in %s\n",
-                 Divergences.size(), Opt.OutPath.c_str());
-    return 1;
-  }
-
-  // Scaling smoke gate (quick and full): on the barrier workload, two
-  // shard workers must not regress more than 25% below one. Only
-  // meaningful with at least two host cpus behind the threads; on a
-  // single-cpu runner the cells still ran (oversubscribed) for the
-  // bit-identity matrix, but their timings measure the scheduler.
-  if (std::thread::hardware_concurrency() >= 2) {
-    for (const WorkloadResult &W : Results) {
-      if (W.Name.rfind("barrier", 0) != 0)
-        continue;
-      const EngineResult *T1 = nullptr, *T2 = nullptr;
-      for (const EngineResult &E : W.Engines) {
-        if (E.Engine == "parallel-t1")
-          T1 = &E;
-        else if (E.Engine == "parallel-t2")
-          T2 = &E;
-      }
-      if (T1 && T2 && T1->HostSeconds > 0.0 &&
-          T2->HostSeconds > 1.25 * T1->HostSeconds) {
-        std::fprintf(stderr,
-                     "bench_simspeed: %s parallel-t2 (%.3fs) regresses "
-                     "more than 25%% below parallel-t1 (%.3fs)\n",
-                     W.Name.c_str(), T2->HostSeconds, T1->HostSeconds);
-        return 1;
-      }
-    }
-  }
-
-  if (!Opt.Quick) {
-    // Acceptance gates. The FastPath one is unconditional; the parallel
-    // scaling one only makes sense with enough host cpus (single-cpu CI
-    // runners cannot speed anything up by threading, but they still ran
-    // the full bit-identity matrix above).
-    for (const WorkloadResult &W : Results) {
-      if (W.Cores == 64 && W.Name.rfind("barrier", 0) == 0 &&
-          Opt.RunReference && Opt.RunFastPath && W.FastSpeedup < 3.0) {
-        std::fprintf(stderr,
-                     "bench_simspeed: 64-core barrier FastPath speedup "
-                     "%.2fx is below the 3x target\n",
-                     W.FastSpeedup);
-        return 1;
-      }
-      if (W.Cores == 64 && W.Name.rfind("matmul-tiled", 0) == 0 &&
-          Opt.RunFastPath && Opt.RunParallel &&
-          std::thread::hardware_concurrency() >= 8 &&
-          W.ParallelSpeedup < 3.0) {
-        std::fprintf(stderr,
-                     "bench_simspeed: 64-core matmul-tiled parallel "
-                     "speedup %.2fx is below the 3x target\n",
-                     W.ParallelSpeedup);
-        return 1;
-      }
-    }
-  }
-  return 0;
+  return ExitReason == "ok" ? 0 : 1;
 }

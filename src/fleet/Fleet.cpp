@@ -183,7 +183,6 @@ bool writeFileAtomic(const std::string &Path,
   W.u32(M.faultPlan().firedCount());
   W.str(M.faultMessage());
   W.str(M.engineName());
-  W.str(M.engineNote());
   W.b(Resumed);
   W.u32(ResultTrailer);
 
@@ -218,7 +217,6 @@ bool parseResult(const std::vector<uint8_t> &Bytes, RunResult &R) {
   R.FaultsFired = Rd.u32();
   R.Message = Rd.str();
   R.Engine = Rd.str();
-  R.EngineNote = Rd.str();
   R.ResumedFromCheckpoint = Rd.b();
   if (Rd.u32() != ResultTrailer || !Rd.ok() || Rd.remaining() != 0)
     return false;

@@ -11,18 +11,18 @@
 ///   lbp_fleet [options]
 ///     --workload W         phases | matmul | pipeline (default phases)
 ///     --asm FILE.s         assembly file instead of a workload
-///     --cores N            machine size per run (default 4)
-///     --runs N             queue length (default 4)
+///     --cores N            machine size per run, 1..64 (default 4)
+///     --runs N             queue length, 1..1000000 (default 4)
 ///     --seed-base N        run i uses fault seed N + i (default 1)
 ///     --drops/--delays/--flips/--stuck N
 ///                          injected faults per run (default 0)
-///     --threads N          host threads per worker (default 1)
 ///     --engine E           reference | fast (default fast)
 ///     --deadline-cycles N  deterministic per-run deadline
 ///                          (default 10000000)
-///     --workers N          concurrent worker processes (default 4)
-///     --max-attempts N     attempts per run before incomplete
-///                          (default 2)
+///     --workers N          concurrent worker processes, 1..256
+///                          (default 4)
+///     --max-attempts N     attempts per run before incomplete,
+///                          1..100 (default 2)
 ///     --checkpoint-interval N
 ///                          checkpoint every N simulated cycles
 ///                          (default 0 = off)
@@ -32,15 +32,18 @@
 ///     --inject-crash I     run I's first attempt aborts (CI smoke)
 ///     --inject-hang I      run I's first attempt hangs (CI smoke)
 ///     --cross-check LIST   run every queue entry once per engine
-///                          variant (comma list of reference | fast |
-///                          parallel-tN) and compare fingerprints
-///                          within each group; a mismatch is triaged
-///                          in-process (obs/Triage.h) and the report
-///                          gains a "divergence_triage" array
+///                          (comma list of reference | fast) and
+///                          compare fingerprints within each group;
+///                          a mismatch is triaged in-process
+///                          (obs/Triage.h) and the report gains a
+///                          "divergence_triage" array
 ///     --perturb N          arm SimConfig::PerturbForTest at cycle N on
 ///                          every run (seeded divergence for CI)
 ///     --out FILE           report destination (default stdout)
 ///     --strict             exit 1 on any non-pass verdict
+///
+/// Every numeric flag is range-checked at parse time; a negative,
+/// malformed or out-of-range value is a usage error.
 ///
 /// Exit status: 0 = campaign complete (and, with --strict, all pass);
 /// 1 = degraded report (incomplete verdicts), cross-check divergence,
@@ -58,6 +61,7 @@
 #include "workloads/Phases.h"
 #include "workloads/Pipeline.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -75,7 +79,6 @@ struct Options {
   unsigned Runs = 4;
   uint64_t SeedBase = 1;
   unsigned Drops = 0, Delays = 0, Flips = 0, Stuck = 0;
-  unsigned Threads = 1;
   bool FastPath = true;
   uint64_t DeadlineCycles = 10000000;
   fleet::FleetConfig FC;
@@ -85,42 +88,12 @@ struct Options {
   uint64_t Perturb = 0;
 };
 
-/// One --cross-check engine variant. FastPath/HostThreads mirror the
-/// specs lbp_triage accepts, spelled with '-' ("parallel-t4") so the
-/// variant can ride inside a run name.
+/// One --cross-check engine variant, named like the specs lbp_triage
+/// accepts so the variant can ride inside a run name.
 struct EngineVariant {
   std::string Name;
   bool FastPath = false;
-  unsigned Threads = 1;
 };
-
-bool parseEngineVariant(const std::string &Spec, EngineVariant &V) {
-  V.Name = Spec;
-  if (Spec == "reference") {
-    V.FastPath = false;
-    V.Threads = 1;
-    return true;
-  }
-  if (Spec == "fast") {
-    V.FastPath = true;
-    V.Threads = 1;
-    return true;
-  }
-  if (Spec.rfind("parallel", 0) == 0) {
-    V.FastPath = true;
-    V.Threads = 4;
-    if (Spec.size() > 8) {
-      if (Spec.compare(8, 2, "-t") != 0)
-        return false;
-      std::optional<int64_t> T = parseInteger(Spec.substr(10));
-      if (!T || *T < 2 || *T > 1024)
-        return false;
-      V.Threads = static_cast<unsigned>(*T);
-    }
-    return true;
-  }
-  return false;
-}
 
 int usage() {
   std::fprintf(
@@ -128,22 +101,34 @@ int usage() {
       "usage: lbp_fleet [--workload phases|matmul|pipeline] [--asm F.s]\n"
       "  --cores N  --runs N  --seed-base N\n"
       "  --drops N  --delays N  --flips N  --stuck N\n"
-      "  --threads N  --engine reference|fast  --deadline-cycles N\n"
+      "  --engine reference|fast  --deadline-cycles N\n"
       "  --workers N  --max-attempts N\n"
       "  --checkpoint-interval N  --checkpoint-dir D\n"
       "  --wall-timeout-ms N  --inject-crash I  --inject-hang I\n"
-      "  --cross-check reference,fast,parallel-tN  --perturb N\n"
+      "  --cross-check reference,fast  --perturb N\n"
       "  --out FILE  --strict\n"
       "See docs/ROBUSTNESS.md (\"Fleet failure taxonomy\").\n");
   return 2;
 }
 
 bool parseArgs(int Argc, char **Argv, Options &O) {
-  auto Num = [&](int &I) -> std::optional<int64_t> {
+  // Reads the value of numeric flag Argv[I] and checks it against
+  // [Lo, Hi]: a negative count must never wrap into a huge unsigned.
+  auto Num = [&](int &I, int64_t Lo,
+                 int64_t Hi) -> std::optional<int64_t> {
     if (I + 1 >= Argc)
       return std::nullopt;
-    return parseInteger(Argv[++I]);
+    std::optional<int64_t> V = parseInteger(Argv[++I]);
+    if (!V || *V < Lo || *V > Hi) {
+      std::fprintf(stderr, "lbp_fleet: %s wants an integer in [%lld, %lld]\n",
+                   Argv[I - 1], static_cast<long long>(Lo),
+                   static_cast<long long>(Hi));
+      return std::nullopt;
+    }
+    return V;
   };
+  constexpr int64_t MaxCount = 1 << 20;
+  constexpr int64_t NoLimit = INT64_MAX;
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     std::optional<int64_t> V;
@@ -178,37 +163,35 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       O.Out = Argv[++I];
     else if (A == "--strict")
       O.Strict = true;
-    else if (A == "--cores" && (V = Num(I)))
+    else if (A == "--cores" && (V = Num(I, 1, 64)))
       O.Cores = static_cast<unsigned>(*V);
-    else if (A == "--runs" && (V = Num(I)))
+    else if (A == "--runs" && (V = Num(I, 1, 1000000)))
       O.Runs = static_cast<unsigned>(*V);
-    else if (A == "--seed-base" && (V = Num(I)))
+    else if (A == "--seed-base" && (V = Num(I, 0, NoLimit)))
       O.SeedBase = static_cast<uint64_t>(*V);
-    else if (A == "--drops" && (V = Num(I)))
+    else if (A == "--drops" && (V = Num(I, 0, MaxCount)))
       O.Drops = static_cast<unsigned>(*V);
-    else if (A == "--delays" && (V = Num(I)))
+    else if (A == "--delays" && (V = Num(I, 0, MaxCount)))
       O.Delays = static_cast<unsigned>(*V);
-    else if (A == "--flips" && (V = Num(I)))
+    else if (A == "--flips" && (V = Num(I, 0, MaxCount)))
       O.Flips = static_cast<unsigned>(*V);
-    else if (A == "--stuck" && (V = Num(I)))
+    else if (A == "--stuck" && (V = Num(I, 0, MaxCount)))
       O.Stuck = static_cast<unsigned>(*V);
-    else if (A == "--threads" && (V = Num(I)))
-      O.Threads = static_cast<unsigned>(*V);
-    else if (A == "--deadline-cycles" && (V = Num(I)))
+    else if (A == "--deadline-cycles" && (V = Num(I, 1, NoLimit)))
       O.DeadlineCycles = static_cast<uint64_t>(*V);
-    else if (A == "--perturb" && (V = Num(I)))
+    else if (A == "--perturb" && (V = Num(I, 0, NoLimit)))
       O.Perturb = static_cast<uint64_t>(*V);
-    else if (A == "--workers" && (V = Num(I)))
+    else if (A == "--workers" && (V = Num(I, 1, 256)))
       O.FC.Workers = static_cast<unsigned>(*V);
-    else if (A == "--max-attempts" && (V = Num(I)))
+    else if (A == "--max-attempts" && (V = Num(I, 1, 100)))
       O.FC.MaxAttempts = static_cast<unsigned>(*V);
-    else if (A == "--checkpoint-interval" && (V = Num(I)))
+    else if (A == "--checkpoint-interval" && (V = Num(I, 0, NoLimit)))
       O.FC.CheckpointInterval = static_cast<uint64_t>(*V);
-    else if (A == "--wall-timeout-ms" && (V = Num(I)))
+    else if (A == "--wall-timeout-ms" && (V = Num(I, 0, NoLimit)))
       O.FC.WallTimeoutMs = static_cast<uint64_t>(*V);
-    else if (A == "--inject-crash" && (V = Num(I)))
+    else if (A == "--inject-crash" && (V = Num(I, 0, INT32_MAX)))
       O.FC.InjectCrashRun = static_cast<int>(*V);
-    else if (A == "--inject-hang" && (V = Num(I)))
+    else if (A == "--inject-hang" && (V = Num(I, 0, INT32_MAX)))
       O.FC.InjectHangRun = static_cast<int>(*V);
     else
       return false;
@@ -272,25 +255,19 @@ int main(int Argc, char **Argv) {
   Images.push_back(std::move(R.Prog));
 
   // The cross-check variant list; a plain campaign is the degenerate
-  // single-variant case with the --engine/--threads configuration.
+  // single-variant case with the --engine configuration.
   std::vector<EngineVariant> Variants;
-  if (O.CrossCheck.empty()) {
-    EngineVariant V;
-    V.FastPath = O.FastPath;
-    V.Threads = O.Threads;
-    Variants.push_back(V);
-  } else {
-    for (const std::string &Spec : O.CrossCheck) {
-      EngineVariant V;
-      if (!parseEngineVariant(Spec, V)) {
-        std::fprintf(stderr,
-                     "lbp_fleet: bad --cross-check variant '%s' (want "
-                     "reference | fast | parallel-tN)\n",
-                     Spec.c_str());
-        return 2;
-      }
-      Variants.push_back(std::move(V));
+  if (O.CrossCheck.empty())
+    Variants.push_back({"", O.FastPath});
+  for (const std::string &Spec : O.CrossCheck) {
+    if (Spec != "reference" && Spec != "fast") {
+      std::fprintf(stderr,
+                   "lbp_fleet: bad --cross-check variant '%s' (want "
+                   "reference | fast)\n",
+                   Spec.c_str());
+      return 2;
     }
+    Variants.push_back({Spec, Spec == "fast"});
   }
 
   // Queue order is group-major: every variant of seed i before any of
@@ -306,7 +283,6 @@ int main(int Argc, char **Argv) {
         S.Name += ":" + V.Name;
       S.Cfg = sim::SimConfig::lbp(O.Cores);
       S.Cfg.FastPath = V.FastPath;
-      S.Cfg.HostThreads = V.Threads;
       S.Cfg.PerturbForTest = O.Perturb;
       S.Cfg.Faults.Seed = Seed;
       S.Cfg.Faults.Drops = O.Drops;

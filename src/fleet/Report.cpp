@@ -54,8 +54,6 @@ std::string lbp::fleet::campaignToJson(const CampaignResult &R,
       J += formatString("\"engine\": \"%s\", ",
                         jsonEscape(Run.Engine).c_str());
     }
-    J += formatString("\"engine_note\": \"%s\", ",
-                      jsonEscape(Run.EngineNote).c_str());
     J += formatString("\"message\": \"%s\", ",
                       jsonEscape(Run.Message).c_str());
     J += formatString("\"faults_fired\": %u, ", Run.FaultsFired);

@@ -7,15 +7,12 @@
 /// \file
 /// The counter pillar of the observability layer (docs/OBSERVABILITY.md).
 /// Almost every counter here is derived from the canonical trace-event
-/// stream through the sim::TraceSink interface: the serial loop, the
-/// fast path and the sharded parallel engine all hand the sink the exact
-/// event sequence the trace hash sees (staged events replay at the epoch
-/// merge in the reference loop's order), so the values are bit-identical
-/// across engines and host thread counts *by construction*. The ROB and
-/// result-slot high-water marks are not events; the Machine raises them
-/// through the same per-shard staging path (StagedOp::K::RobHigh /
-/// SlotHigh), which gives them the identical canonical-order guarantee —
-/// including the truncation-on-halt behavior of the serial loop.
+/// stream through the sim::TraceSink interface: the reference loop and
+/// the fast path both hand the sink the exact event sequence the trace
+/// hash sees, so the values are bit-identical across engines *by
+/// construction*. The ROB and result-slot high-water marks are not
+/// events; the Machine raises them directly from decode and slot fill,
+/// which run at the same cycles on both engines.
 ///
 /// Nothing in this header feeds back into the event hash: sinks run
 /// after hashing, so enabling counters provably leaves every trace hash
@@ -126,8 +123,6 @@ public:
 
   /// Machine::schedule() records the injection cycle of a token so the
   /// TokenPass arrival event can close the latency measurement.
-  /// schedule() only ever runs at the canonical cycle (serially or at
-  /// the epoch merge), so the recorded send cycles are deterministic.
   void noteTokenSend(unsigned TargetHart, uint64_t Cycle) {
     TokenSendCycle[TargetHart] = Cycle;
   }

@@ -20,8 +20,8 @@
 /// Both sinks observe the stream through sim::TraceSink, i.e. strictly
 /// after hashing, and both derive their output from the canonical event
 /// sequence only — no wall-clock, no pointers — so the exported bytes
-/// are identical for every engine and host thread count (asserted by
-/// tests/thread_sweep_test.cpp).
+/// are identical for every engine (asserted by
+/// tests/differential_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 

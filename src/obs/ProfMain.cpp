@@ -14,10 +14,7 @@
 ///     --workload NAME      phases | matmul | pipeline | dma |
 ///                          sensor-fusion (instead of a file)
 ///     --cores N            machine size (default 4)
-///     --threads N          host threads (>= 2 selects the sharded
-///                          parallel engine)
-///     --engine E           reference | fast (serial engine choice;
-///                          default fast)
+///     --engine E           reference | fast (default fast)
 ///     --max-cycles N       cycle budget (default 100000000)
 ///     --seed N             fault-plan seed; --drops/--delays/
 ///     --drops N            --flips add that many injected faults
@@ -70,14 +67,12 @@ struct Options {
   std::string JsonlOut;
   std::string CountersOut;
   unsigned Cores = 4;
-  unsigned Threads = 1;
   bool FastPath = true;
   bool Stalls = true;
   unsigned TopN = 8;
   uint64_t MaxCycles = 100000000;
   uint64_t Seed = 0;
   unsigned Drops = 0, Delays = 0, Flips = 0;
-  bool Oversubscribe = false;
   bool Digests = false;          ///< Print the interval-digest ring.
   uint64_t DigestInterval = 0;   ///< Override stride; 0 keeps default.
 };
@@ -88,7 +83,7 @@ int usage() {
       "usage: lbp_prof [options] file.c|file.s|-\n"
       "       lbp_prof [options] --workload "
       "phases|matmul|pipeline|dma|sensor-fusion\n"
-      "  --cores N  --threads N  --oversubscribe  --engine reference|fast\n"
+      "  --cores N  --engine reference|fast\n"
       "  --max-cycles N  --seed N  --drops N  --delays N  --flips N\n"
       "  --no-stalls  --top N\n"
       "  --perfetto OUT.json  --jsonl OUT.jsonl  --counters OUT.json\n"
@@ -184,9 +179,6 @@ int main(int Argc, char **Argv) {
     } else if (A == "--cores") {
       if (!NextUnsigned(Opts.Cores) || Opts.Cores == 0)
         return usage();
-    } else if (A == "--threads") {
-      if (!NextUnsigned(Opts.Threads) || Opts.Threads == 0)
-        return usage();
     } else if (A == "--engine") {
       std::string E;
       if (!NextString(E))
@@ -212,8 +204,6 @@ int main(int Argc, char **Argv) {
     } else if (A == "--flips") {
       if (!NextUnsigned(Opts.Flips))
         return usage();
-    } else if (A == "--oversubscribe") {
-      Opts.Oversubscribe = true;
     } else if (A == "--no-stalls") {
       Opts.Stalls = false;
     } else if (A == "--top") {
@@ -263,8 +253,6 @@ int main(int Argc, char **Argv) {
 
   sim::SimConfig Cfg = sim::SimConfig::lbp(Opts.Cores);
   Cfg.FastPath = Opts.FastPath;
-  Cfg.HostThreads = Opts.Threads;
-  Cfg.OversubscribeHost = Opts.Oversubscribe;
   Cfg.CollectCounters = true;
   Cfg.CollectStallStats = Opts.Stalls;
   if (Opts.DigestInterval != 0)
@@ -338,37 +326,16 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     // The counter snapshot, wrapped with run metadata: which engine
-    // actually executed (engineNote() records fallbacks, e.g. the
-    // sharded engine declining an odd topology) and the terminal
-    // message — for a livelock, the per-hart wait report.
+    // executed and the terminal message — for a livelock, the per-hart
+    // wait report.
     Out << "{\n  \"meta\": {\"engine\": \"" << jsonEscape(M.engineName())
-        << "\", \"engine_note\": \"" << jsonEscape(M.engineNote())
         << "\", \"status\": \"" << sim::runStatusName(St)
         << "\", \"message\": \"" << jsonEscape(M.faultMessage())
         << "\",\n           \"digest_interval\": "
         << M.trace().digestInterval()
         << ", \"digest_ring_cap\": " << M.trace().digestRingCap()
-        << ", \"digest_count\": " << M.trace().digestCount();
-    // Host-side epoch statistics for the sharded engine: how often the
-    // adaptive windows engaged and where the wall time went (shard
-    // execution vs serial merge). Host-only — never part of the
-    // deterministic counter set below.
-    if (std::string(M.engineName()) == "parallel") {
-      const sim::Machine::EngineStats &S = M.engineStats();
-      Out << ",\n           \"engine_stats\": {\"workers_used\": "
-          << S.WorkersUsed << ", \"epochs_merged\": " << S.EpochsMerged
-          << ", \"window_cycles\": " << S.WindowCycles
-          << ", \"gated_cycles\": " << S.GatedCycles
-          << ", \"skipped_cycles\": " << S.SkippedCycles
-          << ", \"rebalances\": " << S.Rebalances
-          << ", \"shard_seconds\": " << (double)S.ShardNanos / 1e9
-          << ", \"merge_seconds\": " << (double)S.MergeNanos / 1e9
-          << ", \"window_hist\": [";
-      for (size_t K = 0; K != sizeof(S.WindowHist) / sizeof(uint64_t); ++K)
-        Out << (K ? ", " : "") << S.WindowHist[K];
-      Out << "]}";
-    }
-    Out << "},\n  \"counters\": " << obs::countersToJson(M) << "}\n";
+        << ", \"digest_count\": " << M.trace().digestCount()
+        << "},\n  \"counters\": " << obs::countersToJson(M) << "}\n";
   }
   return St == sim::RunStatus::Exited ? 0 : 1;
 }

@@ -297,8 +297,6 @@ std::string obs::buildReport(const Machine &M, const PhaseProfiler *Prof,
                     M.engineName());
   R += formatString("trace hash: 0x%016llx\n",
                     static_cast<unsigned long long>(M.traceHash()));
-  if (!M.engineNote().empty())
-    R += formatString("engine note: %s\n", M.engineNote().c_str());
   if (!M.faultMessage().empty())
     R += formatString("fault: %s\n", M.faultMessage().c_str());
 

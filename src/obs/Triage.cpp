@@ -42,7 +42,6 @@ void fillSide(TriageSideResult &Out, const TriageRunSpec &Spec,
               const Machine &M, sim::RunStatus St) {
   Out.Name = Spec.Name;
   Out.EngineName = M.engineName();
-  Out.HostThreads = Spec.Cfg.HostThreads;
   Out.Status = St;
   Out.Cycles = M.cycles();
   Out.Retired = M.retired();
@@ -223,11 +222,11 @@ void appendEventJson(std::string &J, const TriageEvent &E,
 
 void appendSideJson(std::string &J, const TriageSideResult &S) {
   J += formatString(
-      "{\"name\":\"%s\",\"engine\":\"%s\",\"host_threads\":%u,"
+      "{\"name\":\"%s\",\"engine\":\"%s\","
       "\"status\":\"%s\",\"cycles\":%llu,\"retired\":%llu,"
       "\"trace_hash\":\"0x%016llx\",\"digest_count\":%llu}",
       jsonEscape(S.Name).c_str(), jsonEscape(S.EngineName).c_str(),
-      S.HostThreads, sim::runStatusName(S.Status),
+      sim::runStatusName(S.Status),
       static_cast<unsigned long long>(S.Cycles),
       static_cast<unsigned long long>(S.Retired),
       static_cast<unsigned long long>(S.TraceHash),

@@ -8,7 +8,7 @@
 /// Localizes a determinism violation to its first observable cause
 /// (docs/OBSERVABILITY.md "Divergence triage"). Given two run
 /// configurations of the same program whose fingerprints diverge —
-/// engine, host-thread count or fault plan may differ — the triager:
+/// engine or fault plan may differ — the triager:
 ///
 ///   1. runs both sides once, capturing the full interval-digest
 ///      sequence (Trace::configureDigests) through a TraceSink;
@@ -49,11 +49,11 @@ class Program;
 namespace obs {
 
 /// One side of a divergence: a label plus the full machine config.
-/// Host-side knobs (FastPath, HostThreads, ...) are the usual suspects;
+/// The host-side engine choice (FastPath) is the usual suspect;
 /// behavior knobs (fault plan, PerturbForTest) are allowed to differ
 /// too — triage then explains what the difference did.
 struct TriageRunSpec {
-  std::string Name; ///< e.g. "reference", "parallel-t4".
+  std::string Name; ///< e.g. "reference", "fast".
   sim::SimConfig Cfg;
 };
 
@@ -90,7 +90,6 @@ int triageEventCore(const TriageEvent &E, unsigned BankSizeLog2);
 struct TriageSideResult {
   std::string Name;
   std::string EngineName;
-  unsigned HostThreads = 1;
   sim::RunStatus Status = sim::RunStatus::MaxCycles;
   uint64_t Cycles = 0;
   uint64_t Retired = 0;

@@ -16,9 +16,8 @@
 ///     --workload NAME      phases | matmul | pipeline | dma |
 ///                          sensor-fusion (instead of a file)
 ///     --cores N            machine size (default 4)
-///     --side-a SPEC        engine spec: reference | fast |
-///     --side-b SPEC        parallel[:threads]   (defaults:
-///                          side-a reference, side-b fast)
+///     --side-a SPEC        engine spec: reference | fast
+///     --side-b SPEC        (defaults: side-a reference, side-b fast)
 ///     --seed-a N           per-side fault-plan seed (with --drops /
 ///     --seed-b N           --delays / --flips event counts)
 ///     --drops N  --delays N  --flips N
@@ -28,7 +27,6 @@
 ///     --context K          events of context around the divergence
 ///                          (default 8)
 ///     --max-cycles N       cycle budget (default 20000000)
-///     --oversubscribe      don't clamp worker counts to the host
 ///     --out FILE           write the report there instead of stdout
 ///
 /// Exit status: 0 = no divergence, 1 = divergence reported,
@@ -39,7 +37,6 @@
 #include "asm/Assembler.h"
 #include "frontend/Compiler.h"
 #include "obs/Triage.h"
-#include "support/StringUtils.h"
 #include "workloads/Dma.h"
 #include "workloads/MatMul.h"
 #include "workloads/Phases.h"
@@ -71,7 +68,6 @@ struct Options {
   uint64_t DigestInterval = 4096;
   unsigned Context = 8;
   uint64_t MaxCycles = 20000000;
-  bool Oversubscribe = false;
 };
 
 int usage() {
@@ -81,10 +77,10 @@ int usage() {
       "       lbp_triage [options] --workload "
       "phases|matmul|pipeline|dma|sensor-fusion\n"
       "  --cores N  --side-a SPEC  --side-b SPEC   (SPEC = reference | "
-      "fast | parallel[:threads])\n"
+      "fast)\n"
       "  --seed-a N  --seed-b N  --drops N  --delays N  --flips N\n"
       "  --perturb N  --digest-interval N  --context K  --max-cycles N\n"
-      "  --oversubscribe  --out FILE\n"
+      "  --out FILE\n"
       "See docs/OBSERVABILITY.md, \"Divergence triage\".\n");
   return 2;
 }
@@ -139,32 +135,12 @@ std::string loadAsmText(const Options &Opts, std::string &Err) {
   return Asm;
 }
 
-/// Parses an engine spec ("reference", "fast", "parallel", or
-/// "parallel:N") into \p Cfg; false on a malformed spec.
+/// Parses an engine spec ("reference" or "fast") into \p Cfg; false on
+/// any other spelling.
 bool applyEngineSpec(const std::string &Spec, sim::SimConfig &Cfg) {
-  std::string Engine = Spec;
-  unsigned Threads = 1;
-  size_t Colon = Spec.find(':');
-  if (Colon != std::string::npos) {
-    Engine = Spec.substr(0, Colon);
-    std::optional<int64_t> T = parseInteger(Spec.substr(Colon + 1));
-    if (!T || *T < 1 || *T > 1024)
-      return false;
-    Threads = static_cast<unsigned>(*T);
-  }
-  if (Engine == "reference")
-    Cfg.FastPath = false;
-  else if (Engine == "fast")
-    Cfg.FastPath = true;
-  else if (Engine == "parallel") {
-    Cfg.FastPath = true;
-    if (Colon == std::string::npos)
-      Threads = 4;
-  } else
+  if (Spec != "reference" && Spec != "fast")
     return false;
-  if ((Engine == "parallel") != (Threads > 1))
-    return false; // "parallel:1" and "fast:4" would silently lie
-  Cfg.HostThreads = Threads;
+  Cfg.FastPath = Spec == "fast";
   return true;
 }
 
@@ -236,8 +212,6 @@ int main(int Argc, char **Argv) {
     } else if (A == "--max-cycles") {
       if (!NextU64(Opts.MaxCycles))
         return usage();
-    } else if (A == "--oversubscribe") {
-      Opts.Oversubscribe = true;
     } else if (A == "--out") {
       if (!NextString(Opts.Out))
         return usage();
@@ -270,7 +244,6 @@ int main(int Argc, char **Argv) {
   }
 
   sim::SimConfig Base = sim::SimConfig::lbp(Opts.Cores);
-  Base.OversubscribeHost = Opts.Oversubscribe;
   Base.DigestInterval = Opts.DigestInterval;
   Base.PerturbForTest = Opts.Perturb;
   Base.Faults.Drops = Opts.Drops;
@@ -283,8 +256,7 @@ int main(int Argc, char **Argv) {
   if (!applyEngineSpec(Opts.SideA, A.Cfg) ||
       !applyEngineSpec(Opts.SideB, B.Cfg)) {
     std::fprintf(stderr,
-                 "lbp_triage: bad engine spec (want reference | fast | "
-                 "parallel[:threads])\n");
+                 "lbp_triage: bad engine spec (want reference | fast)\n");
     return usage();
   }
 

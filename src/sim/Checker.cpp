@@ -120,7 +120,7 @@ void Checker::onScheduled(Machine &M, uint64_t At, const Delivery &D) {
     ++TokensInFlight;
 }
 
-void Checker::accountDelivered(Machine &M, const Delivery &D) {
+void Checker::onDelivered(Machine &M, const Delivery &D) {
   // Accounting first: even a faulting delivery left its link.
   if (PendingDeliveries == 0)
     report(M, CheckKind::WheelImbalance, D.HartId,
@@ -131,86 +131,58 @@ void Checker::accountDelivered(Machine &M, const Delivery &D) {
     if (TokensInFlight)
       --TokensInFlight;
   }
-}
-
-bool Checker::validateDelivered(const Machine &M, const Delivery &D,
-                                Violation &V) const {
-  V.Hart = D.HartId;
 
   // The link parity computed at injection must survive the flight.
   if (deliveryParity(D) != D.Parity) {
-    V.Kind = CheckKind::LinkParity;
-    V.Message = formatString("payload of a %s delivery (value 0x%08x, "
-                             "addr 0x%08x) was corrupted in flight",
-                             deliveryKindName(D.K), D.Value, D.Addr);
-    return true;
+    report(M, CheckKind::LinkParity, D.HartId,
+           formatString("payload of a %s delivery (value 0x%08x, addr "
+                        "0x%08x) was corrupted in flight",
+                        deliveryKindName(D.K), D.Value, D.Addr));
+    return;
   }
 
   const Hart &H = M.hart(D.HartId);
   switch (D.K) {
   case Delivery::Kind::Token:
-    if (H.State == HartState::Free) {
-      V.Kind = CheckKind::BadDeliveryTarget;
-      V.Message = "ending-signal token reached a free hart";
-      return true;
-    }
-    if (H.Token) {
-      V.Kind = CheckKind::TokenDuplicated;
-      V.Message = "hart received the ending-signal token twice";
-      return true;
-    }
-    return false;
+    if (H.State == HartState::Free)
+      report(M, CheckKind::BadDeliveryTarget, D.HartId,
+             "ending-signal token reached a free hart");
+    else if (H.Token)
+      report(M, CheckKind::TokenDuplicated, D.HartId,
+             "hart received the ending-signal token twice");
+    return;
 
   case Delivery::Kind::RbFill:
-    if (!H.RbBusy) {
-      V.Kind = CheckKind::RbFillWithoutBuffer;
-      V.Message = "result arrived with no result buffer allocated";
-      return true;
-    }
-    if (D.CountsMem && H.OutstandingMem == 0) {
-      V.Kind = CheckKind::MemAckUnderflow;
-      V.Message = "memory result arrived with no outstanding access";
-      return true;
-    }
-    return false;
+    if (!H.RbBusy)
+      report(M, CheckKind::RbFillWithoutBuffer, D.HartId,
+             "result arrived with no result buffer allocated");
+    else if (D.CountsMem && H.OutstandingMem == 0)
+      report(M, CheckKind::MemAckUnderflow, D.HartId,
+             "memory result arrived with no outstanding access");
+    return;
 
   case Delivery::Kind::MemAck:
-    if (H.OutstandingMem == 0) {
-      V.Kind = CheckKind::MemAckUnderflow;
-      V.Message =
-          "store acknowledgement arrived with no outstanding access";
-      return true;
-    }
-    return false;
+    if (H.OutstandingMem == 0)
+      report(M, CheckKind::MemAckUnderflow, D.HartId,
+             "store acknowledgement arrived with no outstanding access");
+    return;
 
   case Delivery::Kind::SlotFill:
-    if (H.State == HartState::Free) {
-      V.Kind = CheckKind::BadDeliveryTarget;
-      V.Message =
-          formatString("remote result for slot %u reached a free hart",
-                       static_cast<unsigned>(D.Slot));
-      return true;
-    }
-    if (H.SlotBacklog.size() > 8 * M.Cfg.numHarts()) {
-      V.Kind = CheckKind::SlotBacklogOverflow;
-      V.Message = formatString("slot backlog reached %zu entries",
-                               H.SlotBacklog.size());
-      return true;
-    }
-    return false;
+    if (H.State == HartState::Free)
+      report(M, CheckKind::BadDeliveryTarget, D.HartId,
+             formatString("remote result for slot %u reached a free hart",
+                          static_cast<unsigned>(D.Slot)));
+    else if (H.SlotBacklog.size() > 8 * M.Cfg.numHarts())
+      report(M, CheckKind::SlotBacklogOverflow, D.HartId,
+             formatString("slot backlog reached %zu entries",
+                          H.SlotBacklog.size()));
+    return;
 
   default:
     // StartHart/JoinMsg state mismatches and Bank/IoAccess address
     // errors already fault with precise messages in the delivery path.
-    return false;
+    return;
   }
-}
-
-void Checker::onDelivered(Machine &M, const Delivery &D) {
-  accountDelivered(M, D);
-  Violation V;
-  if (validateDelivered(M, D, V))
-    report(M, V.Kind, V.Hart, std::move(V.Message));
 }
 
 void Checker::sweep(Machine &M) {

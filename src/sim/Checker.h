@@ -86,41 +86,11 @@ public:
   /// Validates and accounts a delivery at schedule time.
   void onScheduled(Machine &M, uint64_t At, const Delivery &D);
 
-  /// Validates a delivery just before it is applied. Equivalent to
-  /// accountDelivered() followed by validateDelivered()+reportStaged();
-  /// the split exists so the parallel engine's shard workers can run
-  /// the validation half in parallel (it reads only the delivery and
-  /// its target hart) while the counter half replays serially at the
-  /// merge, in the reference loop's delivery order.
+  /// Validates a delivery just before it is applied: pending-delivery
+  /// and token-in-flight accounting (including the arrived-but-never-
+  /// scheduled report), then link parity plus the target-hart
+  /// invariants, reporting at most one violation of the latter.
   void onDelivered(Machine &M, const Delivery &D);
-
-  /// One validation failure found by a shard worker, staged for the
-  /// merge to report at its canonical position.
-  struct Violation {
-    CheckKind Kind = CheckKind::LinkParity;
-    unsigned Hart = 0;
-    std::string Message;
-  };
-
-  /// Counter half of onDelivered: pending-delivery and token-in-flight
-  /// accounting, including the arrived-but-never-scheduled report.
-  /// Serial only (the counters are global).
-  void accountDelivered(Machine &M, const Delivery &D);
-
-  /// Validation half of onDelivered: link parity plus the target-hart
-  /// invariants. Reads only \p D and its target hart, touches no
-  /// checker or machine state — safe to call from a shard worker whose
-  /// shard owns the target. Returns true and fills \p V on the first
-  /// violation (the reference loop reports at most one here).
-  bool validateDelivered(const Machine &M, const Delivery &D,
-                         Violation &V) const;
-
-  /// Replays a worker-staged violation at the merge point; identical
-  /// record, trace event and fault escalation as an inline report.
-  void reportStaged(Machine &M, CheckKind Kind, unsigned HartId,
-                    std::string Message) {
-    report(M, Kind, HartId, std::move(Message));
-  }
 
   /// Periodic invariant sweep over the whole machine.
   void sweep(Machine &M);

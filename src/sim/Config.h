@@ -136,16 +136,13 @@ struct SimConfig {
   std::string TraceLineFile;
 
   /// Classify why each core issued nothing in a cycle (adds a per-cycle
-  /// scan; off by default). Shard-safe: the per-core tallies are staged
-  /// by the parallel engine's workers and merged in canonical order, so
-  /// they are bit-identical at every HostThreads value.
+  /// scan; off by default).
   bool CollectStallStats = false;
 
   /// Deterministic performance counters (docs/OBSERVABILITY.md):
   /// attaches the obs::PerfCounters sink to the trace and arms the
-  /// staged ROB/result-slot high-water hooks. Bit-identical across
-  /// engines and thread counts, and provably hash-neutral (sinks run
-  /// after hashing). Off by default; the disabled guard is one inlined
+  /// ROB/result-slot high-water hooks. Bit-identical across engines,
+  /// and provably hash-neutral (sinks run after hashing). Off by default; the disabled guard is one inlined
   /// branch per hook site, so disabled runs pay nothing.
   bool CollectCounters = false;
 
@@ -165,49 +162,6 @@ struct SimConfig {
   /// but keeps the per-delivery checks).
   uint64_t CheckInterval = 64;
 
-  /// Host worker threads for the sharded parallel engine
-  /// (docs/PERFORMANCE.md "Parallel engine"). 1 selects the serial
-  /// engines (reference or fast path, per FastPath); >= 2 shards the
-  /// core line across this many host threads and merges per-shard
-  /// staging buffers at deterministic barriers. The observable run —
-  /// traceHash(), cycles(), retired(), RunStatus, machine checks,
-  /// fault-injection behavior, counters — is bit-identical for every
-  /// value. Only the mem-log still needs the single-threaded reference
-  /// access order: CollectMemLog forces the serial engines regardless
-  /// of this setting, and run() records why in Machine::engineNote().
-  unsigned HostThreads = 1;
-
-  /// Epoch (merge-cadence) override for the parallel engine, in cycles.
-  /// 0 means "adaptive": the engine computes a per-epoch lookahead
-  /// window from in-flight state (docs/PERFORMANCE.md "Adaptive
-  /// multi-cycle epochs") and merges only at window boundaries. Any
-  /// nonzero value forces the legacy fixed cadence of 1 (per-cycle
-  /// merges) — merging less often than the in-flight state allows
-  /// would be unsound; merging more often is always correct.
-  uint64_t EpochOverride = 0;
-
-  /// By default the parallel engine clamps its worker count to the
-  /// host's hardware concurrency: running 8 shard workers on 2 cpus
-  /// only adds barrier latency, and the observable run is bit-identical
-  /// at every worker count anyway. Set this to force exactly
-  /// HostThreads workers regardless of the host (the thread-sweep
-  /// tests do, so shard interleaving is really exercised).
-  bool OversubscribeHost = false;
-
-  /// Cycle stride at which the parallel engine recomputes the
-  /// core→shard partition from per-core retire tallies (deterministic
-  /// shard rebalancing; docs/PERFORMANCE.md). The tallies are simulated
-  /// state, so the partition sequence — and therefore every staged
-  /// merge — is a pure function of the program, never of host timing.
-  /// 0 disables rebalancing.
-  uint64_t ShardRebalanceInterval = 4096;
-
-  /// Test knob: deterministically perturbs the *initial* core→shard
-  /// partition (each unit moves one boundary core between neighbouring
-  /// shards). Exists so the rebalancing-determinism tests can prove
-  /// placement never affects output; 0 keeps the even split.
-  unsigned InitialShardSkew = 0;
-
   /// Interval-digest stride in cycles (docs/OBSERVABILITY.md
   /// "Divergence triage"): every DigestInterval cycles the running
   /// order-sensitive trace hash is recorded into a bounded ring
@@ -226,9 +180,9 @@ struct SimConfig {
   /// Deliberate divergence seed for tests and CI (docs/OBSERVABILITY.md
   /// "Divergence triage"): when nonzero, the first event at or after
   /// this cycle is preceded by a synthetic EventKind::Perturb event
-  /// whose payload encodes the engine and requested host-thread count —
-  /// so two runs that differ only in host-side knobs produce hash
-  /// chains that diverge at exactly this cycle. Never set outside
+  /// whose payload encodes the engine — so two runs that differ only in
+  /// the engine choice produce hash chains that diverge at exactly this
+  /// cycle. Never set outside
   /// divergence-triage testing: it deliberately breaks the
   /// engine-bit-identity guarantee.
   uint64_t PerturbForTest = 0;

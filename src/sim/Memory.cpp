@@ -12,22 +12,6 @@
 using namespace lbp;
 using namespace lbp::sim;
 
-unsigned lbp::sim::minCrossCoreLatency(const SimConfig &Cfg) {
-  // The three ways state owned by another core can be reached, each
-  // bounded below by its first link traversal:
-  //  * the direct forward link (forks, p_swcv, tokens),
-  //  * a backward-line hop (joins, p_swre),
-  //  * the router tree to a remote bank (first hop core -> r1; the
-  //    bank's service port adds BankServiceLatency on top, but the hop
-  //    alone already separates the cycles).
-  unsigned L = Cfg.ForwardLinkLatency;
-  if (Cfg.BackwardHopLatency < L)
-    L = Cfg.BackwardHopLatency;
-  if (Cfg.RouterHopLatency < L)
-    L = Cfg.RouterHopLatency;
-  return L < 1 ? 1 : L;
-}
-
 //===----------------------------------------------------------------------===//
 // MemorySystem
 //===----------------------------------------------------------------------===//

@@ -33,16 +33,6 @@
 namespace lbp {
 namespace sim {
 
-/// Conservative lookahead of the interconnect (docs/PERFORMANCE.md
-/// "Parallel engine"): the minimum number of cycles between a core
-/// injecting any message and that message mutating state owned by a
-/// *different* core. Every cross-core path goes over a latency-bearing
-/// link — the forward core-to-core link, a backward-line hop, or at
-/// least one router-tree hop plus the bank service port — so the result
-/// is >= 1 for every legal configuration, which is what lets the
-/// parallel engine advance each shard a full epoch between merges.
-unsigned minCrossCoreLatency(const SimConfig &Cfg);
-
 struct SnapshotAccess; // checkpoint serializer (sim/Snapshot.cpp)
 
 /// Raw storage behind the address map.
@@ -132,9 +122,7 @@ public:
     return ContByClass[static_cast<unsigned>(C)];
   }
 
-  // Per-resource traffic counters (docs/OBSERVABILITY.md). Routing only
-  // happens on the serial engines or inside the parallel engine's
-  // merges, so plain increments are already deterministic; they are
+  // Per-resource traffic counters (docs/OBSERVABILITY.md). They are
   // always on because the routing work dwarfs one add.
 
   /// Packets injected on the forward link out of \p FromCore (cross-core

@@ -16,8 +16,6 @@
 
 #include "sim/Snapshot.h"
 
-#include "isa/Encoding.h"
-#include "isa/Reg.h"
 #include "sim/Interp.h"
 #include "sim/Machine.h"
 #include "support/EventHash.h"
@@ -44,10 +42,9 @@ const char *lbp::sim::runStatusName(RunStatus S) {
 
 uint64_t lbp::sim::snapshotConfigDigest(const SimConfig &Cfg) {
   // Fold every behavior-relevant field in a fixed order. Host-only
-  // knobs (FastPath, HostThreads, EpochOverride, RecordTrace, trace
-  // line options) are deliberately absent: they select *how* the state
-  // sequence is computed, never *what* it is, so a snapshot stays
-  // portable across engines and thread counts.
+  // knobs (FastPath, RecordTrace, trace line options) are deliberately
+  // absent: they select *how* the state sequence is computed, never
+  // *what* it is, so a snapshot stays portable across engines.
   EventHash H;
   H.addWord(Cfg.NumCores);
   H.addWord(Cfg.GlobalBankSizeLog2);
@@ -177,8 +174,6 @@ struct SnapshotAccess {
     W.u32(H.OutstandingMem);
     W.vecU32(H.PendingStoreWords);
     W.b(H.Token);
-    W.u8(H.PendingGateOps);
-    W.u8(H.PendingSendOps);
     for (unsigned I = 0; I != ResultSlots; ++I) {
       W.b(H.SlotFull[I]);
       W.u32(H.SlotVal[I]);
@@ -229,8 +224,6 @@ struct SnapshotAccess {
     H.OutstandingMem = R.u32();
     H.PendingStoreWords = R.vecU32();
     H.Token = R.b();
-    H.PendingGateOps = R.u8();
-    H.PendingSendOps = R.u8();
     for (unsigned I = 0; I != ResultSlots; ++I) {
       H.SlotFull[I] = R.b();
       H.SlotVal[I] = R.u32();
@@ -519,7 +512,7 @@ struct SnapshotAccess {
       W.u8(C.WbRR);
       W.u8(C.CommitRR);
       W.u8(C.AllocRR);
-      W.u64(M.CoreWake[CoreId]); // per-core sleep cycle (SoA, Machine.h)
+      W.u64(M.CoreWake[CoreId]); // per-core sleep cycle (Machine.h)
     }
 
     // Delivery wheel, sparse: only non-empty slots. The slot index is
@@ -556,8 +549,6 @@ struct SnapshotAccess {
     W.b(M.Halted);
     W.str(M.FaultMsg);
     W.u64(M.TotalRetired);
-    W.u64(M.GateCount);
-    W.u64(M.SendCount);
     W.u64(M.JoinEpoch);
     W.b(M.Hart0InTeam);
     W.u64(M.RemoteAccesses);
@@ -669,8 +660,6 @@ struct SnapshotAccess {
     M.Halted = R.b();
     M.FaultMsg = R.str();
     M.TotalRetired = R.u64();
-    M.GateCount = R.u64();
-    M.SendCount = R.u64();
     M.JoinEpoch = R.u64();
     M.Hart0InTeam = R.b();
     M.RemoteAccesses = R.u64();
@@ -722,24 +711,12 @@ struct SnapshotAccess {
       return false;
     }
 
-    // Derived state. The pre-decoded text cache mirrors the code image
-    // (load()'s decode loop, including the P_LWCV operand fixup); the
-    // reference engine never reads it, so it is cleared there.
-    if (M.FastRun) {
-      uint32_t Words = (M.Mem.codeSize() + 3) / 4;
-      M.DecodedText.resize(Words);
-      for (uint32_t Word = 0; Word != Words; ++Word) {
-        isa::Instr I = isa::decode(M.Mem.fetchWord(Word * 4));
-        if (I.Op == isa::Opcode::P_LWCV)
-          I.Rs1 = isa::RegSP;
-        M.DecodedText[Word] = I;
-      }
-    } else {
+    // Derived state. The pre-decoded text cache mirrors the code image;
+    // the reference engine never reads it, so it is cleared there.
+    if (M.FastRun)
+      M.predecodeText();
+    else
       M.DecodedText.clear();
-    }
-    // The window planner's hazard-lookahead table mirrors the restored
-    // code image (no-op when the parallel engine can never run).
-    M.buildWindowClass();
     return true;
   }
 };

@@ -11,8 +11,8 @@
 /// state* of a machine between cycles, so a restored run is
 /// observationally indistinguishable from an uninterrupted one: same
 /// trace hash chain, same cycle count, same counter snapshot, same
-/// RunStatus — on the reference loop, the fast path and the sharded
-/// parallel engine alike. That property is what lets the fleet runner
+/// RunStatus — on the reference loop and the fast path alike. That
+/// property is what lets the fleet runner
 /// (src/fleet/) retry a crashed or preempted worker from its last
 /// checkpoint without perturbing the campaign's deterministic report.
 ///
@@ -22,10 +22,10 @@
 ///   u64 config digest  — FNV over the behavior-relevant SimConfig
 ///                        fields (structure, latencies, checkers,
 ///                        collection modes, fault plan). Host-only
-///                        knobs (FastPath, HostThreads, trace
-///                        recording) are excluded: they cannot change
-///                        the simulated state, so a snapshot moves
-///                        freely between engines and thread counts.
+///                        knobs (FastPath, trace recording) are
+///                        excluded: they cannot change the simulated
+///                        state, so a snapshot moves freely between
+///                        engines.
 ///   sections           — memory, interconnect, cores/harts, delivery
 ///                        wheel + overflow heap, machine scalars,
 ///                        fault-plan cursor, checker accounting, trace
@@ -57,7 +57,9 @@ constexpr uint32_t SnapshotMagic = 0x5350424Cu;
 /// now sourced from Machine::CoreWake (SoA layout).
 /// v3: interval-digest ring + PerturbForTest fired-flag section after
 /// the trace hash (docs/OBSERVABILITY.md "Divergence triage").
-constexpr uint32_t SnapshotFormatVersion = 3;
+/// v4: the sharded engine's bookkeeping is gone — no per-hart
+/// PendingGateOps/PendingSendOps, no machine GateCount/SendCount.
+constexpr uint32_t SnapshotFormatVersion = 4;
 
 /// Trailer sentinel appended after the last section.
 constexpr uint32_t SnapshotTrailer = 0x50414E53u; // 'S' 'N' 'A' 'P'
@@ -65,8 +67,8 @@ constexpr uint32_t SnapshotTrailer = 0x50414E53u; // 'S' 'N' 'A' 'P'
 /// Digest of the SimConfig fields that determine simulated behavior.
 /// Two configs with equal digests evolve a loaded machine through the
 /// identical state sequence; restore refuses a digest mismatch.
-/// Host-side observation knobs (FastPath, HostThreads, EpochOverride,
-/// RecordTrace, trace line options) are deliberately not folded in.
+/// Host-side observation knobs (FastPath, RecordTrace, trace line
+/// options) are deliberately not folded in.
 uint64_t snapshotConfigDigest(const SimConfig &Cfg);
 
 } // namespace sim

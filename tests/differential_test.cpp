@@ -11,6 +11,11 @@
 // checks operand capture, the wakeup logic, store/load ordering under
 // p_syncm, and the in-order commit machinery all at once.
 //
+// Then the engine differential: the fast path against the reference
+// loop it must be indistinguishable from, over every paper workload,
+// the Det-C corpus, protocol-heavy fork/join programs, a six-case fault
+// matrix, MaxCycles truncation and the timeline exports.
+//
 //===----------------------------------------------------------------------===//
 
 #include "asm/Assembler.h"
@@ -19,6 +24,10 @@
 #include "isa/Encoding.h"
 #include "isa/HartRef.h"
 #include "isa/Reg.h"
+#include "obs/Perfetto.h"
+#include "obs/Report.h"
+#include "romp/AsmText.h"
+#include "romp/Runtime.h"
 #include "sim/Interp.h"
 #include "sim/Machine.h"
 #include "support/SplitMix64.h"
@@ -166,29 +175,41 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Differential,
 // FastPath differential: the fast engine (SimConfig::FastPath — cycle
 // skipping, active-set scheduling, pre-decoded text) must be an exact
 // no-op on the observable run: same RunStatus, same final cycle count,
-// same retired count, same cycle-by-cycle trace hash as the reference
+// same retired count, same cycle-by-cycle trace hash, same machine
+// checks and same counter snapshot as the reference
 // every-core-every-cycle loop. docs/PERFORMANCE.md states the contract;
 // these tests enforce it over every paper workload plus the Det-C
 // corpus and the random-program generator above.
 //===----------------------------------------------------------------------===//
 
 /// The observable fingerprint of a run; any divergence between the two
-/// engines is a fast-path bug by definition.
+/// engines is a fast-path bug by definition. Counters is the full
+/// canonical snapshot (obs::countersToJson), so every comparison also
+/// proves counter bit-identity.
 struct RunFingerprint {
   RunStatus Status;
   uint64_t Cycles;
   uint64_t Retired;
   uint64_t Hash;
   std::string Message;
+  std::vector<MachineCheck> Checks;
+  std::string Counters;
 };
 
 RunFingerprint runWith(const assembler::Program &Prog, SimConfig Cfg,
                        bool FastPath, uint64_t MaxCycles) {
   Cfg.FastPath = FastPath;
+  Cfg.CollectCounters = true;
   Machine M(Cfg);
   M.load(Prog);
   RunStatus S = M.run(MaxCycles);
-  return {S, M.cycles(), M.retired(), M.traceHash(), M.faultMessage()};
+  return {S,
+          M.cycles(),
+          M.retired(),
+          M.traceHash(),
+          M.faultMessage(),
+          M.machineChecks(),
+          obs::countersToJson(M)};
 }
 
 /// Assembles \p Src and runs it twice, FastPath off then on, expecting
@@ -207,12 +228,155 @@ void expectFastPathIdentical(const std::string &Src, SimConfig Cfg,
   EXPECT_EQ(Ref.Retired, Fast.Retired) << What;
   EXPECT_EQ(Ref.Hash, Fast.Hash) << What;
   EXPECT_EQ(Ref.Message, Fast.Message) << What;
+  EXPECT_EQ(Ref.Counters, Fast.Counters) << What;
+  ASSERT_EQ(Ref.Checks.size(), Fast.Checks.size()) << What;
+  for (size_t I = 0; I != Ref.Checks.size(); ++I) {
+    EXPECT_EQ(Ref.Checks[I].Cycle, Fast.Checks[I].Cycle) << What;
+    EXPECT_EQ(static_cast<int>(Ref.Checks[I].Kind),
+              static_cast<int>(Fast.Checks[I].Kind))
+        << What;
+    EXPECT_EQ(Ref.Checks[I].Hart, Fast.Checks[I].Hart) << What;
+    EXPECT_EQ(Ref.Checks[I].Message, Fast.Checks[I].Message) << What;
+  }
+}
+
+/// The fault matrix the workloads below are swept through: clean, one
+/// plan per fault class, and a mixed plan. Window and seed values are
+/// chosen so each class actually fires on these workloads.
+struct FaultCase {
+  const char *Name;
+  unsigned Drops, Delays, BitFlips, StuckBanks;
+};
+constexpr FaultCase FaultCases[] = {
+    {"clean", 0, 0, 0, 0},      {"drops", 2, 0, 0, 0},
+    {"delays", 0, 2, 0, 0},     {"bitflips", 0, 0, 2, 0},
+    {"stuckbanks", 0, 0, 0, 2}, {"mixed", 1, 1, 1, 1},
+};
+
+SimConfig withFaults(SimConfig Cfg, const FaultCase &F, uint64_t Seed) {
+  Cfg.Faults.Seed = Seed;
+  Cfg.Faults.Drops = F.Drops;
+  Cfg.Faults.Delays = F.Delays;
+  Cfg.Faults.BitFlips = F.BitFlips;
+  Cfg.Faults.StuckBanks = F.StuckBanks;
+  Cfg.Faults.WindowBegin = 50;
+  Cfg.Faults.WindowEnd = 4000;
+  return Cfg;
+}
+
+void sweepFaults(const std::string &Src, SimConfig Cfg,
+                 const std::string &What) {
+  for (const FaultCase &F : FaultCases)
+    expectFastPathIdentical(Src, withFaults(Cfg, F, 0xF00Dull),
+                            What + "/" + F.Name);
+}
+
+/// A romp fork/join loop: \p Rounds back-to-back parallel regions whose
+/// \p NumHarts members run \p Worker (assembly defining `worker`).
+std::string forkJoinProgram(unsigned NumHarts, unsigned Rounds,
+                            const std::string &Worker) {
+  romp::AsmText Head;
+  romp::emitMainPrologue(Head);
+  Head.line("li s1, %u", Rounds);
+  Head.label("round");
+  romp::emitParallelCall(Head, "worker", NumHarts, "0");
+  Head.line("addi s1, s1, -1");
+  Head.line("bnez s1, round");
+  romp::AsmText Tail;
+  romp::emitMainEpilogue(Tail);
+  romp::emitParallelStart(Tail);
+  return Head.str() + Tail.str() + Worker;
+}
+
+/// Barrier-heavy: workers do almost nothing, so the fork/join protocol
+/// and the ending-token chain dominate.
+std::string barrierProgram(unsigned NumHarts, unsigned Rounds) {
+  return forkJoinProgram(NumHarts, Rounds, R"(
+    .equ OUT, 0x20000200
+worker:
+    slli a4, a0, 2
+    la a5, OUT
+    add a4, a4, a5
+    sw a0, 0(a4)
+    p_syncm
+    p_ret
+)");
+}
+
+/// Long quiescent stretches: each hart spins in a private ALU loop with
+/// no memory traffic between the fork and the join, so cores sleep on
+/// their own timers and the fast path skips most cycles.
+std::string quiescentProgram(unsigned NumHarts, unsigned Rounds,
+                             unsigned SpinIters) {
+  return forkJoinProgram(NumHarts, Rounds, formatString(R"(
+    .equ OUT, 0x20000200
+worker:
+    li a2, %u
+spin:
+    addi a2, a2, -1
+    bnez a2, spin
+    slli a4, a0, 2
+    la a5, OUT
+    add a4, a4, a5
+    sw a0, 0(a4)
+    p_syncm
+    p_ret
+)",
+                                                        SpinIters));
+}
+
+/// Dense remote traffic: every hart hammers the *next* core's global
+/// bank through the router tree.
+std::string crossBankProgram(unsigned NumHarts, unsigned Rounds,
+                             unsigned Iters) {
+  return forkJoinProgram(NumHarts, Rounds, formatString(R"(
+worker:
+    srli a4, a0, 2          # core id (4 harts per core)
+    addi a4, a4, 1
+    andi a4, a4, 3          # (core + 1) %% NumCores: always remote
+    slli a4, a4, 16         # << GlobalBankSizeLog2 (64 KiB banks)
+    li a5, 0x20000000
+    add a4, a4, a5
+    slli a6, a0, 2
+    add a4, a4, a6          # per-hart word in the remote bank
+    li a2, %u
+loop:
+    sw a0, 0(a4)
+    p_syncm
+    lw a6, 0(a4)
+    p_syncm
+    addi a2, a2, -1
+    bnez a2, loop
+    p_ret
+)",
+                                                        Iters));
+}
+
+/// The 16-hart phases workload, with its machine configuration in
+/// \p Cfg.
+std::string phasesProgram(SimConfig &Cfg) {
+  workloads::PhasesSpec Spec;
+  Spec.NumHarts = 16;
+  Cfg = SimConfig::lbp(Spec.cores());
+  Cfg.GlobalBankSizeLog2 = Spec.BankSizeLog2;
+  return workloads::buildPhasesProgram(Spec);
 }
 
 TEST(FastPathDifferential, RandomPrograms) {
   for (uint64_t Seed : {11ull, 23ull, 99ull, 4242ull, 0xBEEFull})
     expectFastPathIdentical(generateProgram(Seed), SimConfig::lbp(1),
                             formatString("random program seed %llu",
+                                         static_cast<unsigned long long>(
+                                             Seed)));
+}
+
+TEST(FastPathDifferential, RandomProgramsFourCores) {
+  // The same single-hart programs on the 4-core machine: the other
+  // cores have nothing to run, so the fast path keeps them asleep while
+  // hart 0 works through its memory traffic.
+  for (uint64_t Seed : {3ull, 77ull, 0xABCDull})
+    expectFastPathIdentical(generateProgram(Seed), SimConfig::lbp(4),
+                            formatString("random program seed %llu, 4 cores",
                                          static_cast<unsigned long long>(
                                              Seed)));
 }
@@ -233,12 +397,9 @@ TEST(FastPathDifferential, MatMulAllVersions) {
 }
 
 TEST(FastPathDifferential, PhasesAndPipeline) {
-  workloads::PhasesSpec PSpec;
-  PSpec.NumHarts = 16;
-  SimConfig PCfg = SimConfig::lbp(PSpec.cores());
-  PCfg.GlobalBankSizeLog2 = PSpec.BankSizeLog2;
-  expectFastPathIdentical(workloads::buildPhasesProgram(PSpec), PCfg,
-                          "phases");
+  SimConfig PCfg;
+  std::string PSrc = phasesProgram(PCfg);
+  expectFastPathIdentical(PSrc, PCfg, "phases");
 
   workloads::PipelineSpec LSpec;
   SimConfig LCfg = SimConfig::lbp(LSpec.cores());
@@ -247,20 +408,128 @@ TEST(FastPathDifferential, PhasesAndPipeline) {
                           "pipeline");
 }
 
+constexpr const char *DetCCorpus[] = {"vector_scale", "chunked_sum",
+                                      "phased_stencil"};
+
+/// Compiles examples/detc/<Name>.c to assembly; records a failure and
+/// returns "" when the file is missing or does not compile.
+std::string compileDetCExample(const std::string &Name) {
+  std::string Path =
+      std::string(LBP_SOURCE_DIR "/examples/detc/") + Name + ".c";
+  std::ifstream In(Path);
+  if (!In.good()) {
+    ADD_FAILURE() << "cannot open " << Path;
+    return "";
+  }
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  std::string Errors;
+  std::string Asm = frontend::compileDetCToAsm(Buf.str(), Errors);
+  if (Asm.empty())
+    ADD_FAILURE() << Name << ":\n" << Errors;
+  return Asm;
+}
+
 TEST(FastPathDifferential, DetCCorpus) {
-  for (const char *Name :
-       {"vector_scale", "chunked_sum", "phased_stencil"}) {
-    std::string Path =
-        std::string(LBP_SOURCE_DIR "/examples/detc/") + Name + ".c";
-    std::ifstream In(Path);
-    ASSERT_TRUE(In.good()) << "cannot open " << Path;
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    std::string Errors;
-    std::string Asm = frontend::compileDetCToAsm(Buf.str(), Errors);
-    ASSERT_FALSE(Asm.empty()) << Name << ":\n" << Errors;
+  for (const char *Name : DetCCorpus) {
+    std::string Asm = compileDetCExample(Name);
+    ASSERT_FALSE(Asm.empty());
     expectFastPathIdentical(Asm, SimConfig::lbp(4),
                             std::string("detc ") + Name);
+  }
+}
+
+TEST(FastPathDifferential, DetCCorpusUnderFaults) {
+  for (const char *Name : DetCCorpus) {
+    std::string Asm = compileDetCExample(Name);
+    ASSERT_FALSE(Asm.empty());
+    sweepFaults(Asm, SimConfig::lbp(4), std::string("detc-") + Name);
+  }
+}
+
+TEST(FastPathDifferential, BarrierUnderFaults) {
+  sweepFaults(barrierProgram(/*NumHarts=*/16, /*Rounds=*/6),
+              SimConfig::lbp(4), "barrier");
+}
+
+TEST(FastPathDifferential, QuiescentSpinUnderFaults) {
+  sweepFaults(quiescentProgram(/*NumHarts=*/16, /*Rounds=*/3,
+                               /*SpinIters=*/300),
+              SimConfig::lbp(4), "quiescent");
+}
+
+TEST(FastPathDifferential, CrossBankTrafficUnderFaults) {
+  sweepFaults(crossBankProgram(/*NumHarts=*/16, /*Rounds=*/2,
+                               /*Iters=*/25),
+              SimConfig::lbp(4), "crossbank");
+}
+
+TEST(FastPathDifferential, PhasesUnderFaults) {
+  SimConfig Cfg;
+  std::string Src = phasesProgram(Cfg);
+  sweepFaults(Src, Cfg, "phases");
+}
+
+TEST(FastPathDifferential, MatMulTiledUnderFaults) {
+  workloads::MatMulSpec Spec =
+      workloads::MatMulSpec::paper(16, workloads::MatMulVersion::Tiled);
+  SimConfig Cfg = SimConfig::lbp(Spec.cores());
+  Cfg.GlobalBankSizeLog2 = Spec.BankSizeLog2;
+  sweepFaults(workloads::buildMatMulProgram(Spec), Cfg, "matmul-tiled");
+}
+
+TEST(FastPathDifferential, TruncationUnderFaults) {
+  // A budget that runs out mid-protocol, inside the fault window: the
+  // skipped cycles and the fired faults must still line up exactly.
+  SimConfig PCfg;
+  std::string Phases = phasesProgram(PCfg);
+  std::string Barrier = barrierProgram(/*NumHarts=*/16, /*Rounds=*/6);
+  for (const FaultCase &F : FaultCases) {
+    expectFastPathIdentical(Barrier,
+                            withFaults(SimConfig::lbp(4), F, 0xD1CEull),
+                            std::string("barrier truncated/") + F.Name,
+                            /*MaxCycles=*/777);
+    expectFastPathIdentical(Phases, withFaults(PCfg, F, 0xD1CEull),
+                            std::string("phases truncated/") + F.Name,
+                            /*MaxCycles=*/777);
+  }
+}
+
+/// Perfetto + JSONL bytes for one run; the sinks observe the canonical
+/// stream, so these must be identical for both engines.
+struct TimelineCapture {
+  std::string Perfetto;
+  std::string Jsonl;
+};
+
+TimelineCapture captureTimelines(const assembler::Program &Prog,
+                                 const SimConfig &Cfg) {
+  std::ostringstream POut, JOut;
+  Machine M(Cfg);
+  obs::PerfettoSink Perfetto(POut, Cfg);
+  obs::JsonlSink Jsonl(JOut);
+  M.addTraceSink(&Perfetto);
+  M.addTraceSink(&Jsonl);
+  M.load(Prog);
+  M.run(2000000);
+  Perfetto.finish(M.cycles());
+  return {POut.str(), JOut.str()};
+}
+
+TEST(FastPathDifferential, TimelineExportsAreEngineInvariant) {
+  assembler::AsmResult R =
+      assembler::assemble(barrierProgram(/*NumHarts=*/16, /*Rounds=*/3));
+  ASSERT_TRUE(R.succeeded()) << R.errorText();
+  for (const FaultCase &F : {FaultCases[0], FaultCases[5]}) {
+    SimConfig Cfg = withFaults(SimConfig::lbp(4), F, 0xBEEFull);
+    Cfg.FastPath = false;
+    TimelineCapture Ref = captureTimelines(R.Prog, Cfg);
+    EXPECT_FALSE(Ref.Perfetto.empty());
+    EXPECT_EQ(Ref.Perfetto.substr(Ref.Perfetto.size() - 3), "]}\n");
+    Cfg.FastPath = true;
+    TimelineCapture Fast = captureTimelines(R.Prog, Cfg);
+    EXPECT_EQ(Ref.Perfetto, Fast.Perfetto) << F.Name;
+    EXPECT_EQ(Ref.Jsonl, Fast.Jsonl) << F.Name;
   }
 }
 
@@ -268,15 +537,34 @@ TEST(FastPathDifferential, MaxCyclesTruncation) {
   // A run cut off mid-flight must stop at the same cycle with the same
   // trace whether or not the engine was skipping quiescent spans: the
   // fast path charges every skipped cycle against the budget.
-  workloads::PhasesSpec Spec;
-  Spec.NumHarts = 16;
-  SimConfig Cfg = SimConfig::lbp(Spec.cores());
-  Cfg.GlobalBankSizeLog2 = Spec.BankSizeLog2;
-  std::string Src = workloads::buildPhasesProgram(Spec);
+  SimConfig Cfg;
+  std::string Src = phasesProgram(Cfg);
   for (uint64_t MaxCycles : {100ull, 777ull, 2048ull, 5000ull}) {
     expectFastPathIdentical(
         Src, Cfg,
         formatString("phases truncated at %llu",
+                     static_cast<unsigned long long>(MaxCycles)),
+        MaxCycles);
+  }
+}
+
+TEST(FastPathDifferential, TruncationMidQuiescentSkip) {
+  // Budgets spread over a run whose spin stretches the fast path skips
+  // through: a skip is clipped to the remaining budget, so wherever the
+  // budget runs out both engines must stop on the same cycle.
+  std::string Src = quiescentProgram(/*NumHarts=*/16, /*Rounds=*/3,
+                                     /*SpinIters=*/300);
+  assembler::AsmResult R = assembler::assemble(Src);
+  ASSERT_TRUE(R.succeeded()) << R.errorText();
+  RunFingerprint Full =
+      runWith(R.Prog, SimConfig::lbp(4), /*FastPath=*/false, 2000000);
+  ASSERT_EQ(static_cast<int>(Full.Status),
+            static_cast<int>(RunStatus::Exited));
+  for (uint64_t K = 1; K != 8; ++K) {
+    uint64_t MaxCycles = Full.Cycles * K / 8 + K;
+    expectFastPathIdentical(
+        Src, SimConfig::lbp(4),
+        formatString("quiescent truncated at %llu",
                      static_cast<unsigned long long>(MaxCycles)),
         MaxCycles);
   }

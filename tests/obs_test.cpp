@@ -8,8 +8,8 @@
 // (obs::PerfCounters), the bounded trace-line recording, and the
 // hash-neutrality guarantee: enabling any part of the observability
 // layer must leave the run's fingerprint untouched
-// (docs/OBSERVABILITY.md). Engine/thread-count bit-identity of the same
-// counters is swept separately in tests/thread_sweep_test.cpp.
+// (docs/OBSERVABILITY.md). Engine bit-identity of the same counters is
+// swept separately in tests/differential_test.cpp.
 //
 //===----------------------------------------------------------------------===//
 

@@ -9,9 +9,8 @@
 // resumed on a *fresh* machine finishes with the exact observable
 // fingerprint — RunStatus, cycle count, retired count, trace hash chain,
 // fault message, machine-check list and the canonical counter snapshot —
-// of the run that was never interrupted. Swept across all three engines
-// (reference, fast path, sharded parallel), across host thread counts,
-// through open fault-injection windows and through the X_PAR fork/join
+// of the run that was never interrupted. Swept across both engines
+// (reference loop and fast path), through open fault-injection windows and through the X_PAR fork/join
 // handshake, because those are exactly the states a fleet worker dies
 // in. Also: save -> restore -> save is byte-identical (the blob is a
 // pure function of machine state), and malformed blobs are rejected
@@ -38,25 +37,18 @@ using namespace lbp::sim;
 
 namespace {
 
-/// One engine/thread cell of the sweep.
+/// One engine cell of the sweep.
 struct EngineCell {
   const char *Name;
   bool FastPath;
-  unsigned Threads;
 };
 constexpr EngineCell Cells[] = {
-    {"reference", false, 1},
-    {"fastpath", true, 1},
-    {"parallel-2", true, 2},
-    {"parallel-4", true, 4},
+    {"reference", false},
+    {"fastpath", true},
 };
 
 SimConfig cellConfig(SimConfig Cfg, const EngineCell &C) {
   Cfg.FastPath = C.FastPath;
-  Cfg.HostThreads = C.Threads;
-  // Real shard workers even on a small CI host, so the parallel cells
-  // checkpoint actual sharded runs.
-  Cfg.OversubscribeHost = true;
   Cfg.CollectCounters = true;
   return Cfg;
 }
@@ -146,7 +138,7 @@ std::string pipelineSrc() {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine x thread-count sweep at assorted snapshot cycles
+// Engine sweep at assorted snapshot cycles
 //===----------------------------------------------------------------------===//
 
 TEST(Snapshot, ResumeMatchesUninterruptedAcrossEnginesPhases) {
@@ -201,12 +193,12 @@ TEST(Snapshot, BlobIsPortableAcrossEngines) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mid multi-cycle-epoch stretch
+// Mid quiescent spin
 //===----------------------------------------------------------------------===//
 
-/// Harts spinning in private ALU loops: the shape where the parallel
-/// engine's adaptive planner runs multi-cycle epochs nearly all the
-/// time (see ThreadSweep.QuiescentStretchesUseMultiCycleEpochs).
+/// Harts spinning in private ALU loops: cores sleep on their own timers
+/// most of the time, so the fast path's per-core wake cycles and skipped
+/// spans are live state at almost every snapshot point.
 std::string spinSrc() {
   romp::AsmText Head;
   romp::emitMainPrologue(Head);
@@ -234,20 +226,19 @@ spin:
 )";
 }
 
-TEST(Snapshot, ResumeMidMultiCycleEpochStretch) {
-  // Snapshot budgets landing inside the long windowed stretches. The
-  // engine clips every window to the remaining budget, so run(N) always
-  // stops on a fully merged epoch boundary and the blob is an ordinary
-  // between-cycles state — portable to every engine, including back to
-  // a windowed parallel run that re-plans from the restored wheel.
+TEST(Snapshot, ResumeMidQuiescentSpin) {
+  // Snapshot budgets landing inside the long spin stretches. A skipped
+  // span is clipped to the remaining budget, so run(N) always stops
+  // between cycles and the blob is an ordinary state — portable to
+  // either engine, including back to a fast-path run that rebuilds its
+  // sleep schedule from the restored wake cycles.
   assembler::Program Prog = assembleOrDie(spinSrc());
-  SimConfig Par = cellConfig(SimConfig::lbp(4), Cells[3]); // parallel-4
+  SimConfig Fast = cellConfig(SimConfig::lbp(4), Cells[1]); // fastpath
   for (const EngineCell &To : Cells) {
     SimConfig ToCfg = cellConfig(SimConfig::lbp(4), To);
     for (uint64_t SnapAt : {150ull, 731ull, 1500ull})
-      expectResumeIdentical(Prog, Par, ToCfg, SnapAt,
-                            std::string("midwindow/parallel-4->") +
-                                To.Name);
+      expectResumeIdentical(Prog, Fast, ToCfg, SnapAt,
+                            std::string("midspin/fastpath->") + To.Name);
   }
 }
 
@@ -430,7 +421,6 @@ TEST(Snapshot, RejectsBadMagicVersionDigestAndTruncation) {
   { // Host-only knobs do NOT change the digest.
     SimConfig Host = Cfg;
     Host.FastPath = !Host.FastPath;
-    Host.HostThreads = 8;
     Host.RecordTrace = true;
     EXPECT_EQ(snapshotConfigDigest(Host), snapshotConfigDigest(Cfg));
   }
@@ -441,6 +431,27 @@ TEST(Snapshot, RejectsBadMagicVersionDigestAndTruncation) {
       EXPECT_FALSE(R.restoreSnapshot(B, Err)) << "cut=" << Cut;
     }
   }
+}
+
+TEST(Snapshot, RejectsFormatVersion3Blob) {
+  // Version 3 blobs carried the sharded engine's gate/send bookkeeping;
+  // a v4 machine must refuse one with a diagnostic naming both versions
+  // instead of misreading the hart records.
+  assembler::Program Prog = assembleOrDie(phasesSrc());
+  SimConfig Cfg = SimConfig::lbp(4);
+  Machine M(Cfg);
+  M.load(Prog);
+  M.run(100);
+  std::vector<uint8_t> Blob;
+  M.saveSnapshot(Blob);
+  ASSERT_EQ(SnapshotFormatVersion, 4u);
+  Blob[4] = 3; // the little-endian u32 after the magic
+  Blob[5] = Blob[6] = Blob[7] = 0;
+  Machine R(Cfg);
+  std::string Err;
+  EXPECT_FALSE(R.restoreSnapshot(Blob, Err));
+  EXPECT_NE(Err.find("format version 3 (expected 4)"), std::string::npos)
+      << Err;
 }
 
 //===----------------------------------------------------------------------===//

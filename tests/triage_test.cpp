@@ -269,30 +269,29 @@ TEST(Triage, FindsSeededFirstDivergentEvent) {
             obs::triageReportToJson(R2, "phases"));
 }
 
-TEST(Triage, ParallelThreadSweepDivergenceIsTriaged) {
+TEST(Triage, FaultPlanDivergenceIsTriaged) {
+  // Same engine on both sides, different fault plans: triage pins the
+  // divergence on the fault side's first injected fault.
   assembler::Program Prog = assembleOrDie(phasesSrc());
 
   sim::SimConfig Base = SimConfig::lbp(4);
   Base.DigestInterval = 512;
-  Base.PerturbForTest = 1500;
-  Base.OversubscribeHost = true; // t4 even on a small host
-
-  // The perturb payload records the *requested* thread count, so a
-  // t1-vs-t4 sweep diverges regardless of the host's core count.
-  obs::TriageRunSpec A{"fast-t1", Base}, B{"parallel-t4", Base};
-  A.Cfg.FastPath = true;
-  A.Cfg.HostThreads = 1;
-  B.Cfg.FastPath = true;
-  B.Cfg.HostThreads = 4;
+  obs::TriageRunSpec A{"clean", Base}, B{"delayed", Base};
+  B.Cfg.Faults.Seed = 7;
+  B.Cfg.Faults.Delays = 1;
+  B.Cfg.Faults.WindowBegin = 100;
+  B.Cfg.Faults.WindowEnd = 1500;
 
   obs::TriageResult R = obs::triageDivergence(Prog, A, B);
   ASSERT_TRUE(R.Ran) << R.Error;
   EXPECT_TRUE(R.Diverged);
   ASSERT_TRUE(R.Found);
-  uint64_t Rel = R.FirstIndex - R.Side[0].ContextBase;
-  ASSERT_LT(Rel, R.Side[0].Context.size());
-  EXPECT_EQ(R.Side[0].Context[Rel].Cycle, 1500u);
-  EXPECT_EQ(R.Side[0].Context[Rel].Kind, EventKind::Perturb);
+  uint64_t Rel = R.FirstIndex - R.Side[1].ContextBase;
+  ASSERT_LT(Rel, R.Side[1].Context.size());
+  const obs::TriageEvent &E = R.Side[1].Context[Rel];
+  EXPECT_EQ(E.Kind, EventKind::FaultInject);
+  EXPECT_GE(E.Cycle, 100u);
+  EXPECT_LT(E.Cycle, 1500u);
 }
 
 TEST(Triage, CleanPairReportsNoDivergence) {

@@ -52,7 +52,13 @@ void expectCorrectZ(Machine &M, const MatMulSpec &Spec) {
 struct Param {
   unsigned NumHarts;
   MatMulVersion V;
+  // gtest prints a parameter without operator<< as its raw bytes, and
+  // ctest registers the tests under names that include them: spell the
+  // padding out as zeroed members so those names are the same on every
+  // build instead of carrying whatever the stack held.
+  uint8_t Pad[3] = {};
 };
+static_assert(sizeof(Param) == 8, "Param must have no implicit padding");
 
 class MatMulAll : public ::testing::TestWithParam<Param> {};
 
