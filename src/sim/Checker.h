@@ -62,11 +62,6 @@ struct MachineCheck {
   std::string format() const;
 };
 
-/// Link-level parity over every field of a delivery except the parity
-/// byte itself. Computed at injection, verified at arrival: a payload
-/// bit flipped in flight is detected before the delivery is applied.
-uint8_t deliveryParity(const Delivery &D);
-
 /// The checker state machine. The Machine calls the hooks; sweep() runs
 /// every SimConfig::CheckInterval cycles. Any violation is recorded and
 /// escalated through Machine::fault().

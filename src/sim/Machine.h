@@ -83,6 +83,30 @@ struct Delivery {
   uint8_t Parity = 0;     ///< Link parity, set by Machine::schedule().
 };
 
+/// Link-level parity over every field of a delivery except the parity
+/// byte itself. Computed at injection, verified at arrival: a payload
+/// bit flipped in flight is detected before the delivery is applied.
+inline uint8_t deliveryParity(const Delivery &D) {
+  // The fields folded through a small multiplicative mix so that any
+  // single-bit flip changes the result: the Horner chain
+  // W = (..((K * 131 + HartId) * 131 + Value) * 131 ..) + Flags, written
+  // as a sum of independent products with the powers of 131 (the same
+  // value mod 2^64) so the multiplies need not wait on each other.
+  constexpr uint64_t P1 = 131, P2 = P1 * P1, P3 = P2 * P1, P4 = P3 * P1,
+                     P5 = P4 * P1, P6 = P5 * P1, P7 = P6 * P1,
+                     P8 = P7 * P1;
+  uint64_t Flags = static_cast<unsigned>(D.IsWrite) |
+                   static_cast<unsigned>(D.SignExt) << 1 |
+                   static_cast<unsigned>(D.CountsMem) << 2;
+  uint64_t W = static_cast<uint8_t>(D.K) * P8 + D.HartId * P7 +
+               D.Value * P6 + D.Addr * P5 + D.RespCycle * P4 +
+               D.StoreWord * P3 + D.Width * P2 + D.Slot * P1 + Flags;
+  W ^= W >> 32;
+  W ^= W >> 16;
+  W ^= W >> 8;
+  return static_cast<uint8_t>(W);
+}
+
 class Machine {
 public:
   explicit Machine(const SimConfig &Config);
@@ -244,8 +268,10 @@ private:
                   RobEntry &E, unsigned RobIdx);
   bool issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H, RobEntry &E,
                  unsigned RobIdx);
-  void commitRet(unsigned CoreId, unsigned HartInCore, Hart &H,
-                 RobEntry &E);
+  /// The p_ret ending protocol, with the captured ra (\p Ra) and t0
+  /// (\p T0) of the committed entry.
+  void commitRet(unsigned CoreId, unsigned HartInCore, Hart &H, uint32_t Ra,
+                 uint32_t T0);
 
   // -- Plumbing ---------------------------------------------------------
   Hart &hart(unsigned HartId) {
@@ -274,7 +300,7 @@ private:
   /// Earliest cycle strictly comparable to \p Now at which any stage of
   /// \p C could act again, assuming no further deliveries: the minimum
   /// over the core's non-free harts of their pending timer expiries
-  /// (NoFetchUntil, result-buffer ready, ROB-entry done). UINT64_MAX
+  /// (NoFetchUntil, result-buffer ready, ROB head done). UINT64_MAX
   /// when the core is fully event-driven (only a delivery can make it
   /// act).
   uint64_t coreWakeCycle(const Core &C, uint64_t Now) const;
@@ -373,10 +399,10 @@ private:
   /// Effective fast-path switch for this run: SimConfig::FastPath minus
   /// the modes that need every core-cycle observed (stall-cause stats).
   bool FastRun = false;
-  /// Text segment decoded once at load() (FastPath): the instruction at
+  /// Text segment decoded once at load() (FastPath): the micro-op at
   /// word address W is DecodedText[W]. Valid because LBP code banks are
   /// read-only after load — stores into the code region fault.
-  std::vector<isa::Instr> DecodedText;
+  std::vector<MicroOp> DecodedText;
 
   struct DeviceMapping {
     uint32_t Base;

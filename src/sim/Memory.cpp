@@ -116,7 +116,14 @@ uint64_t Interconnect::hop(std::vector<uint64_t> &Links, unsigned Slot,
   assert(Slot < Links.size() && "link index out of range");
   uint64_t Cap = Cfg.RouterLinkCapacity;
   uint64_t AtSlot = At * Cap;
-  uint64_t DepartSlot = AtSlot < Links[Slot] ? Links[Slot] : AtSlot;
+  if (AtSlot >= Links[Slot]) {
+    // Uncontended: the packet departs in its own slot, whose cycle is
+    // At itself, so neither the division below nor a contention charge
+    // is needed.
+    Links[Slot] = AtSlot + 1;
+    return At + Latency;
+  }
+  uint64_t DepartSlot = Links[Slot];
   Links[Slot] = DepartSlot + 1;
   uint64_t DepartCycle = DepartSlot / Cap;
   Contention += DepartCycle - At;

@@ -59,7 +59,11 @@ constexpr uint32_t SnapshotMagic = 0x5350424Cu;
 /// the trace hash (docs/OBSERVABILITY.md "Divergence triage").
 /// v4: the sharded engine's bookkeeping is gone — no per-hart
 /// PendingGateOps/PendingSendOps, no machine GateCount/SendCount.
-constexpr uint32_t SnapshotFormatVersion = 4;
+/// v5: no rename stamps (NextRenameSeq, LastRenameSeq, per-entry
+/// RenameSeq) and no per-source SrcReady; RbEntry is one byte. The ROB
+/// entries' micro-op flags and each hart's scheduling summary are
+/// rebuilt from the saved ROB on restore.
+constexpr uint32_t SnapshotFormatVersion = 5;
 
 /// Trailer sentinel appended after the last section.
 constexpr uint32_t SnapshotTrailer = 0x50414E53u; // 'S' 'N' 'A' 'P'

@@ -51,7 +51,8 @@ Trace::Trace(Trace &&O) noexcept
       Interval(O.Interval), RingCap(O.RingCap), Ring(std::move(O.Ring)),
       DigestTotal(O.DigestTotal), NextBoundary(O.NextBoundary),
       PerturbAt(O.PerturbAt), PerturbPayload(O.PerturbPayload),
-      PerturbFiredFlag(O.PerturbFiredFlag), Watermark(O.Watermark) {
+      PerturbFiredFlag(O.PerturbFiredFlag), Watermark(O.Watermark),
+      Observed(O.Observed) {
   O.LineFile = nullptr;
 }
 
@@ -159,12 +160,7 @@ void Trace::restoreDigestState(uint64_t SavedNextBoundary, uint64_t Total,
   updateWatermark();
 }
 
-void Trace::event(uint64_t Cycle, EventKind Kind, uint64_t A, uint64_t B) {
-  // One compare covers both cold features (digests + perturb); with
-  // neither armed the watermark is UINT64_MAX and this never takes.
-  if (Cycle >= Watermark)
-    crossWatermark(Cycle);
-  Hash.addEvent(Cycle, static_cast<uint64_t>(Kind), A, B);
+void Trace::notify(uint64_t Cycle, EventKind Kind, uint64_t A, uint64_t B) {
   // Sinks observe the exact hashed sequence and never feed back into it.
   for (TraceSink *S : Sinks)
     S->onEvent(Cycle, Kind, A, B);

@@ -123,6 +123,14 @@ class Trace {
 
   void recordDigest(uint64_t Boundary);
 
+  /// True when a sink is registered or lines are recorded: the only
+  /// case in which event() leaves its inline hash path.
+  bool Observed = false;
+  void updateObserved() { Observed = Recording || !Sinks.empty(); }
+
+  /// Sink fan-out and line recording for one already-hashed event.
+  void notify(uint64_t Cycle, EventKind Kind, uint64_t A, uint64_t B);
+
 public:
   Trace() = default;
   // Copying would duplicate the owned file handle and fork the sink
@@ -133,7 +141,10 @@ public:
   Trace(Trace &&O) noexcept;
   ~Trace();
 
-  void setRecording(bool R) { Recording = R; }
+  void setRecording(bool R) {
+    Recording = R;
+    updateObserved();
+  }
 
   /// Caps the number of formatted lines kept in memory; lines past the
   /// cap are dropped and counted (droppedLines()). Hashing and sinks
@@ -146,7 +157,10 @@ public:
 
   /// Registers \p S as an observer of every subsequent event. The sink
   /// must outlive the Trace; ownership stays with the caller.
-  void addSink(TraceSink *S) { Sinks.push_back(S); }
+  void addSink(TraceSink *S) {
+    Sinks.push_back(S);
+    updateObserved();
+  }
 
   /// Enables interval digests: at every multiple of \p IntervalCycles
   /// the running hash is recorded into a ring of \p Cap entries (and
@@ -165,7 +179,19 @@ public:
   /// checkpointed run state: a restored run must not re-fire.
   bool perturbFired() const { return PerturbFiredFlag; }
 
-  void event(uint64_t Cycle, EventKind Kind, uint64_t A, uint64_t B = 0);
+  /// Folds one event into the hash, then hands it to the sinks and the
+  /// line recorder. Inline: every commit, bank access and protocol
+  /// message passes through here, and without sinks or recording the
+  /// whole call is one compare plus the hash fold.
+  void event(uint64_t Cycle, EventKind Kind, uint64_t A, uint64_t B = 0) {
+    // One compare covers both cold features (digests + perturb); with
+    // neither armed the watermark is UINT64_MAX and this never takes.
+    if (Cycle >= Watermark)
+      crossWatermark(Cycle);
+    Hash.addEvent(Cycle, static_cast<uint64_t>(Kind), A, B);
+    if (Observed)
+      notify(Cycle, Kind, A, B);
+  }
 
   /// Records every not-yet-recorded digest boundary <= \p FinalCycle
   /// with the current hash. Called at the end of a run: by the

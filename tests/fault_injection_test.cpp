@@ -16,6 +16,7 @@
 #include "romp/AsmText.h"
 #include "romp/Runtime.h"
 #include "sim/Machine.h"
+#include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
 
@@ -138,6 +139,45 @@ TEST(FaultInjection, DroppedDeliveriesAreDetectedDeterministically) {
     EXPECT_FALSE(A.Message.empty()) << "seed " << Seed;
   }
   EXPECT_GE(Detected, 3u) << "the fault window missed the team phase";
+}
+
+/// The link parity as a plain Horner chain over the delivery fields:
+/// the definition deliveryParity evaluates as independent products.
+uint8_t hornerParity(const Delivery &D) {
+  uint64_t W = static_cast<uint8_t>(D.K);
+  W = W * 131 + D.HartId;
+  W = W * 131 + D.Value;
+  W = W * 131 + D.Addr;
+  W = W * 131 + D.RespCycle;
+  W = W * 131 + D.StoreWord;
+  W = W * 131 + D.Width;
+  W = W * 131 + D.Slot;
+  W = W * 131 + (static_cast<unsigned>(D.IsWrite) |
+                 static_cast<unsigned>(D.SignExt) << 1 |
+                 static_cast<unsigned>(D.CountsMem) << 2);
+  W ^= W >> 32;
+  W ^= W >> 16;
+  W ^= W >> 8;
+  return static_cast<uint8_t>(W);
+}
+
+TEST(FaultInjection, LinkParityEqualsHornerReference) {
+  SplitMix64 Rng(0x9a1c);
+  for (unsigned I = 0; I != 5000; ++I) {
+    Delivery D;
+    D.K = static_cast<Delivery::Kind>(Rng.nextBelow(8));
+    D.HartId = static_cast<uint16_t>(Rng.next());
+    D.Value = static_cast<uint32_t>(Rng.next());
+    D.Addr = static_cast<uint32_t>(Rng.next());
+    D.RespCycle = Rng.next() >> Rng.nextBelow(64);
+    D.StoreWord = static_cast<uint32_t>(Rng.next());
+    D.Width = static_cast<uint8_t>(Rng.next());
+    D.Slot = static_cast<uint8_t>(Rng.next());
+    D.IsWrite = Rng.nextBelow(2);
+    D.SignExt = Rng.nextBelow(2);
+    D.CountsMem = Rng.nextBelow(2);
+    ASSERT_EQ(deliveryParity(D), hornerParity(D)) << "delivery " << I;
+  }
 }
 
 // A flipped payload bit is caught by the link parity check before the

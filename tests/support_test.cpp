@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace lbp;
 
 namespace {
@@ -75,6 +77,38 @@ TEST(SplitMix64, RangesAreRespected) {
     uint64_t V = R.nextInRange(10, 20);
     EXPECT_GE(V, 10u);
     EXPECT_LE(V, 20u);
+  }
+}
+
+/// Byte-wise FNV-1a over \p W's eight bytes, low byte first: the
+/// definition EventHash::addWord folds its zero high bytes out of.
+uint64_t fnv1aBytewise(uint64_t H, uint64_t W) {
+  for (unsigned I = 0; I != 8; ++I) {
+    H ^= static_cast<uint8_t>(W >> (8 * I));
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+TEST(EventHash, FoldedWordEqualsBytewiseFnv1a) {
+  std::vector<uint64_t> Words = {0, ~0ULL, 1, 0x80};
+  for (unsigned B = 0; B != 8; ++B) {
+    Words.push_back(1ULL << (8 * B));        // single set byte
+    Words.push_back(0xffULL << (8 * B));     // single full byte
+    Words.push_back((1ULL << (8 * B)) - 1);  // low bytes full
+    Words.push_back(0x5aULL << (8 * B) | 1); // zero bytes in the middle
+  }
+  SplitMix64 Rng(0x5eed);
+  for (unsigned I = 0; I != 2000; ++I) {
+    uint64_t W = Rng.next();
+    Words.push_back(W >> (Rng.next() % 64)); // every significant width
+  }
+  EventHash H;
+  uint64_t Want = 0xcbf29ce484222325ULL;
+  for (uint64_t W : Words) {
+    H.addWord(W);
+    Want = fnv1aBytewise(Want, W);
+    ASSERT_EQ(H.value(), Want) << std::hex << "word 0x" << W;
   }
 }
 
