@@ -20,10 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
 #include <dirent.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 using namespace lbp;
@@ -80,6 +83,14 @@ std::vector<RunSpec> seedSweep(unsigned Runs, unsigned Delays = 1) {
     Specs.push_back(std::move(S));
   }
   return Specs;
+}
+
+/// User plus system CPU time of this process so far, in seconds.
+double processCpuSeconds() {
+  rusage U{};
+  getrusage(RUSAGE_SELF, &U);
+  auto Sec = [](const timeval &T) { return T.tv_sec + T.tv_usec * 1e-6; };
+  return Sec(U.ru_utime) + Sec(U.ru_stime);
 }
 
 TEST(Fleet, CleanCampaignAllPass) {
@@ -169,6 +180,38 @@ TEST(Fleet, HungWorkerIsKilledAndRetried) {
             static_cast<int>(AttemptOutcome::Hung));
   EXPECT_EQ(static_cast<int>(Hung.Attempts[1]),
             static_cast<int>(AttemptOutcome::Completed));
+}
+
+TEST(Fleet, HugeWallTimeoutNeverFiresAndParentSleeps) {
+  // A budget too large for the clock's nanoseconds must saturate: the
+  // watchdog never fires, and the parent still sleeps in poll() rather
+  // than spinning on a deadline that overflowed into the past. The
+  // workers' time is not counted in RUSAGE_SELF, so the parent's own
+  // CPU time stays a small share of the campaign's wall time.
+  auto Images = sharedImages();
+  auto Specs = seedSweep(4);
+  for (uint64_t Budget : {uint64_t{INT64_MAX}, UINT64_MAX}) {
+    FleetConfig FC;
+    FC.Workers = 2;
+    FC.WallTimeoutMs = Budget;
+    double Cpu0 = processCpuSeconds();
+    auto Wall0 = std::chrono::steady_clock::now();
+    CampaignResult R = runCampaign(Images, Specs, FC);
+    double Wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - Wall0)
+                      .count();
+    double Cpu = processCpuSeconds() - Cpu0;
+
+    ASSERT_TRUE(R.Complete) << Budget;
+    for (const RunResult &Run : R.Runs) {
+      ASSERT_EQ(Run.Attempts.size(), 1u) << Run.Name;
+      EXPECT_EQ(static_cast<int>(Run.Attempts[0]),
+                static_cast<int>(AttemptOutcome::Completed))
+          << Run.Name;
+    }
+    EXPECT_LT(Cpu, Wall / 4) << "budget " << Budget << ": parent used "
+                             << Cpu << " s of CPU in " << Wall << " s";
+  }
 }
 
 TEST(Fleet, ExhaustedRetriesDegradeToIncomplete) {

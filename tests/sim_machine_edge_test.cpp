@@ -372,6 +372,24 @@ tl: addi a3, a3, 1
   EXPECT_GT(M1.debugReadWord(0x20000184), 100u);
 }
 
+TEST(MachineEdge, CounterReadTowardX0LeavesTheResultBufferAlone) {
+  // A counter read toward x0 writes no register, so, like any other op
+  // toward x0, it completes without the result buffer and may issue
+  // while the multiply before it still holds the buffer.
+  runSrc(R"(
+main:
+    li a1, 5
+    mul a2, a1, a1
+    rdcycle zero
+    mul a3, a1, a1
+    rdinstret zero
+    li ra, 0
+    li t0, -1
+    p_ret
+)",
+         1);
+}
+
 TEST(MachineEdge, SlotIndexOutOfRangeFaults) {
   Machine M = runSrc("main:\n  p_lwre a0, 99\n", 1, RunStatus::Fault);
   EXPECT_NE(M.faultMessage().find("slot"), std::string::npos);
