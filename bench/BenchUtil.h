@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-figure benchmark binaries: running a matmul
-/// spec on a matching machine and printing the paper-style histogram
-/// tables (cycles / IPC / retired instructions per version).
+/// Helpers shared by the benchmark binaries: running a matmul spec on a
+/// matching machine, printing the paper-style histogram tables (cycles /
+/// IPC / retired instructions per version), and the host descriptor the
+/// JSON-writing benches record next to their timings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,8 @@
 #include <cstdlib>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 namespace lbp {
 namespace bench {
@@ -95,6 +98,47 @@ inline void printFigureTable(const char *Figure, unsigned NumHarts,
                 static_cast<unsigned long long>(R.Retired),
                 static_cast<unsigned long long>(R.Remote),
                 static_cast<unsigned long long>(R.Contention));
+}
+
+/// First line of \p Cmd's standard output ("" when it prints nothing or
+/// cannot run).
+inline std::string firstLineOf(const char *Cmd) {
+  std::string Line;
+  if (std::FILE *P = popen(Cmd, "r")) {
+    char Buf[128] = {};
+    if (std::fgets(Buf, sizeof(Buf), P))
+      Line = Buf;
+    pclose(P);
+  }
+  while (!Line.empty() && (Line.back() == '\n' || Line.back() == '\r'))
+    Line.pop_back();
+  return Line;
+}
+
+/// The host block of a bench JSON: cpus online, compiler, build type,
+/// link-time optimization and the source tree's git commit, with a
+/// "-dirty" suffix when tracked files differ from it ("none" outside a
+/// git checkout). Two timing records are comparable only when their
+/// host blocks agree.
+inline std::string hostJson() {
+  std::string Commit =
+      firstLineOf("git -C '" LBP_SOURCE_DIR "' rev-parse HEAD 2>/dev/null");
+  if (Commit.size() != 40 ||
+      Commit.find_first_not_of("0123456789abcdef") != std::string::npos)
+    Commit = "none";
+  else if (!firstLineOf("git -C '" LBP_SOURCE_DIR
+                        "' status --porcelain --untracked-files=no "
+                        "2>/dev/null")
+                .empty())
+    Commit += "-dirty";
+  char Buf[512];
+  std::snprintf(Buf, sizeof(Buf),
+                "{\"nproc\": %ld, \"compiler\": \"%s\", \"build_type\": "
+                "\"%s\", \"lto\": %s, \"commit\": \"%s\"}",
+                sysconf(_SC_NPROCESSORS_ONLN), LBP_BENCH_COMPILER,
+                LBP_BENCH_BUILD_TYPE, LBP_BENCH_LTO ? "true" : "false",
+                Commit.c_str());
+  return Buf;
 }
 
 inline const workloads::MatMulVersion AllVersions[5] = {

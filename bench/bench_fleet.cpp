@@ -20,10 +20,13 @@
 //    cell shows how campaigns scale across host cpus — the repo's only
 //    host parallelism — rather than fork overhead.
 //
-// Results land in BENCH_fleet.json so the cost trajectory is recorded
-// per commit. Exit nonzero on any identity violation or failed run.
+// Results land in BENCH_fleet.json, with the host block of BenchUtil.h,
+// so the cost trajectory is recorded per commit. Exit nonzero on any
+// identity violation or failed run.
 //
 //===----------------------------------------------------------------------===//
+
+#include "BenchUtil.h"
 
 #include "asm/Assembler.h"
 #include "fleet/Fleet.h"
@@ -267,6 +270,7 @@ int main(int argc, char **argv) {
   }
   std::fprintf(F, "{\n  \"bench\": \"fleet\",\n  \"quick\": %s,\n",
                Quick ? "true" : "false");
+  std::fprintf(F, "  \"host\": %s,\n", bench::hostJson().c_str());
   std::fprintf(F, "  \"snapshot_format_version\": %u,\n",
                sim::SnapshotFormatVersion);
   std::fprintf(F, "  \"snapshots\": [\n");

@@ -29,10 +29,18 @@
 // written and listed in its "gates" array; "exit_reason" names the first
 // failing gate, and the exit status is 0 exactly when it says "ok".
 //
+// A cell whose first run takes under ShortCellSeconds is repeated
+// ShortCellReps times in all; each cell records its repetition count,
+// the minimum and the median (the reported time) and the spread. The
+// JSON's "host" block names the cpus, compiler, build type, LTO and
+// commit the numbers came from.
+//
 // Usage: bench_simspeed [--quick] [--out FILE] [--engines LIST]
 //                       [--counters] [--perturb N]
 //
 //===----------------------------------------------------------------------===//
+
+#include "BenchUtil.h"
 
 #include "asm/Assembler.h"
 #include "obs/Triage.h"
@@ -42,6 +50,7 @@
 #include "workloads/MatMul.h"
 #include "workloads/Phases.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -154,7 +163,10 @@ struct Fingerprint {
 struct EngineResult {
   std::string Engine; ///< "reference" or "fastpath".
   Fingerprint Fp;
-  double HostSeconds = 0.0;
+  unsigned Reps = 0;       ///< Timed runs behind the numbers below.
+  double MinSeconds = 0.0; ///< Fastest run.
+  double HostSeconds = 0.0; ///< Median run; the rates derive from it.
+  double SpreadPct = 0.0;   ///< (slowest - fastest) / median, in %.
   double CyclesPerSec = 0.0;
   double Mips = 0.0;
   long PeakRssKb = 0;
@@ -200,33 +212,54 @@ long peakRssKb() {
   return Ru.ru_maxrss; // KiB on Linux
 }
 
-/// One timed run. Only Machine::run is on the clock; assembly and image
-/// load are setup. The run must exit cleanly and pass \p Verify — a bench
-/// must never report numbers from a broken run.
+/// Cells shorter than this are repeated: one host hiccup is a large
+/// share of a few milliseconds.
+constexpr double ShortCellSeconds = 0.05;
+constexpr unsigned ShortCellReps = 11;
+
+/// One timed cell: a run, repeated when it is short. Only Machine::run
+/// is on the clock; assembly and image load are setup. Every run must
+/// exit cleanly, pass \p Verify and reproduce the first run's
+/// fingerprint — a bench must never report numbers from a broken run.
 EngineResult timedRun(const assembler::Program &Prog, sim::SimConfig Cfg,
                       const std::string &Engine,
                       const std::function<void(sim::Machine &)> &Verify) {
   Cfg.FastPath = Engine == "fastpath";
-  sim::Machine M(Cfg);
-  M.load(Prog);
-  auto T0 = std::chrono::steady_clock::now();
-  sim::RunStatus S = M.run();
-  auto T1 = std::chrono::steady_clock::now();
-  if (S != sim::RunStatus::Exited) {
-    std::fprintf(stderr, "%s: %s\n", Engine.c_str(), M.faultMessage().c_str());
-    die("a bench run did not exit cleanly");
-  }
-  Verify(M);
   EngineResult R;
   R.Engine = Engine;
-  R.Fp = {S, M.cycles(), M.retired(), M.traceHash()};
-  R.HostSeconds = std::chrono::duration<double>(T1 - T0).count();
+  std::vector<double> Times;
+  do {
+    sim::Machine M(Cfg);
+    M.load(Prog);
+    auto T0 = std::chrono::steady_clock::now();
+    sim::RunStatus S = M.run();
+    auto T1 = std::chrono::steady_clock::now();
+    if (S != sim::RunStatus::Exited) {
+      std::fprintf(stderr, "%s: %s\n", Engine.c_str(),
+                   M.faultMessage().c_str());
+      die("a bench run did not exit cleanly");
+    }
+    Verify(M);
+    Fingerprint Fp = {S, M.cycles(), M.retired(), M.traceHash()};
+    if (Times.empty()) {
+      R.Fp = Fp;
+      R.EngineUsed = M.engineName();
+    } else if (!(Fp == R.Fp)) {
+      die("a repeated bench run changed its fingerprint");
+    }
+    Times.push_back(std::chrono::duration<double>(T1 - T0).count());
+  } while (Times.front() < ShortCellSeconds && Times.size() < ShortCellReps);
+
+  std::sort(Times.begin(), Times.end());
+  R.Reps = static_cast<unsigned>(Times.size());
+  R.MinSeconds = Times.front();
+  R.HostSeconds = Times[Times.size() / 2];
   if (R.HostSeconds > 0.0) {
+    R.SpreadPct = (Times.back() - Times.front()) / R.HostSeconds * 100.0;
     R.CyclesPerSec = static_cast<double>(R.Fp.Cycles) / R.HostSeconds;
     R.Mips = static_cast<double>(R.Fp.Retired) / R.HostSeconds / 1e6;
   }
   R.PeakRssKb = peakRssKb();
-  R.EngineUsed = M.engineName();
   return R;
 }
 
@@ -298,7 +331,8 @@ runWorkload(const Options &Opt, const std::string &Name,
   std::printf("%-24s %3u cores  %10llu cycles", Name.c_str(), W.Cores,
               static_cast<unsigned long long>(RefE.Fp.Cycles));
   for (const EngineResult &E : W.Engines)
-    std::printf("  %s %.1f kc/s", E.Engine.c_str(), E.CyclesPerSec / 1e3);
+    std::printf("  %s %.1f kc/s (x%u, spread %.0f%%)", E.Engine.c_str(),
+                E.CyclesPerSec / 1e3, E.Reps, E.SpreadPct);
   std::printf("\n");
   std::fflush(stdout);
   return W;
@@ -459,6 +493,7 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
     die("cannot open the JSON output file");
   std::fprintf(F, "{\n  \"bench\": \"simspeed\",\n  \"quick\": %s,\n",
                Opt.Quick ? "true" : "false");
+  std::fprintf(F, "  \"host\": %s,\n", bench::hostJson().c_str());
   std::fprintf(F, "  \"exit_reason\": \"%s\",\n", ExitReason.c_str());
   std::fprintf(F, "  \"gates\": [");
   for (size_t I = 0; I != Gates.size(); ++I) {
@@ -518,13 +553,15 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
     for (size_t J = 0; J != W.Engines.size(); ++J) {
       const EngineResult &E = W.Engines[J];
       std::fprintf(F,
-                   "        {\"engine\": \"%s\", \"host_seconds\": %.6f, "
+                   "        {\"engine\": \"%s\", \"reps\": %u, "
+                   "\"min_seconds\": %.6f, \"host_seconds\": %.6f, "
+                   "\"spread_pct\": %.1f, "
                    "\"cycles_per_sec\": %.1f, \"mips\": %.3f, "
                    "\"peak_rss_kb\": %ld, \"identical\": %s, "
                    "\"engine_used\": \"%s\"}%s\n",
-                   E.Engine.c_str(), E.HostSeconds, E.CyclesPerSec, E.Mips,
-                   E.PeakRssKb, E.Identical ? "true" : "false",
-                   E.EngineUsed.c_str(),
+                   E.Engine.c_str(), E.Reps, E.MinSeconds, E.HostSeconds,
+                   E.SpreadPct, E.CyclesPerSec, E.Mips, E.PeakRssKb,
+                   E.Identical ? "true" : "false", E.EngineUsed.c_str(),
                    J + 1 == W.Engines.size() ? "" : ",");
     }
     std::fprintf(F, "      ],\n");

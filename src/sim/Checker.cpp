@@ -168,19 +168,39 @@ void Checker::onDelivered(Machine &M, const Delivery &D) {
 void Checker::sweep(Machine &M) {
   ++SweepCount;
 
+  // One pass over the harts, in hart order, gathers the inputs of both
+  // per-hart invariants below.
+  //
+  // Allocation-leak detection: a hart must leave Reserved once its start
+  // message arrives; the reserve-to-start gap is bounded by the forking
+  // hart's code path, so a Reserved hart older than half the progress
+  // guard means the start was lost.
+  uint64_t LeakThreshold = M.Cfg.ProgressGuard / 2;
+  if (LeakThreshold < M.Cfg.CheckInterval)
+    LeakThreshold = M.Cfg.CheckInterval;
+  uint64_t Held = 0;
+  bool Live = TokensInFlight != 0;
+  const Hart *Leaked = nullptr; // the lowest-numbered leaking hart
+  unsigned LeakedId = 0, HartId = 0;
+  for (const Core &C : M.Cores) {
+    for (const Hart &H : C.Harts) {
+      Held += H.Token;
+      if (H.State != HartState::Free) {
+        Live = true;
+        if (!Leaked && H.State == HartState::Reserved &&
+            M.Cycle - H.StateSince > LeakThreshold) {
+          Leaked = &H;
+          LeakedId = HartId;
+        }
+      }
+      ++HartId;
+    }
+  }
+
   // Ending-token conservation: while the machine is live, exactly one
   // token exists — held by a hart or in flight on a link. A dropped
   // token or join message shows up here as a lost token; a protocol bug
   // that forges one shows up as a duplicate.
-  uint64_t Held = 0;
-  bool Live = TokensInFlight != 0;
-  for (const Core &C : M.Cores) {
-    for (const Hart &H : C.Harts) {
-      Held += H.Token;
-      if (H.State != HartState::Free)
-        Live = true;
-    }
-  }
   if (Live) {
     uint64_t Total = Held + TokensInFlight;
     if (Total == 0) {
@@ -200,23 +220,12 @@ void Checker::sweep(Machine &M) {
     }
   }
 
-  // Allocation-leak detection: a hart must leave Reserved once its start
-  // message arrives; the reserve-to-start gap is bounded by the forking
-  // hart's code path, so a Reserved hart older than half the progress
-  // guard means the start was lost.
-  uint64_t LeakThreshold = M.Cfg.ProgressGuard / 2;
-  if (LeakThreshold < M.Cfg.CheckInterval)
-    LeakThreshold = M.Cfg.CheckInterval;
-  for (unsigned HartId = 0; HartId != M.Cfg.numHarts(); ++HartId) {
-    const Hart &H = M.hart(HartId);
-    if (H.State == HartState::Reserved &&
-        M.Cycle - H.StateSince > LeakThreshold) {
-      report(M, CheckKind::HartLeak, HartId,
-             formatString("hart reserved at cycle %llu never received "
-                          "its start message",
-                          static_cast<unsigned long long>(H.StateSince)));
-      return;
-    }
+  if (Leaked) {
+    report(M, CheckKind::HartLeak, LeakedId,
+           formatString("hart reserved at cycle %llu never received "
+                        "its start message",
+                        static_cast<unsigned long long>(Leaked->StateSince)));
+    return;
   }
 
   // Delivery-wheel audit (amortized: a full wheel recount every 64
@@ -252,29 +261,26 @@ uint64_t Checker::nextSweepConcern(const Machine &M) const {
   const uint64_t Next = (M.Cycle / I + 1) * I;
   uint64_t Concern = UINT64_MAX;
 
+  // One pass over the harts for both per-hart invariants.
+  //
   // Token conservation: Held and TokensInFlight cannot change while the
   // machine is frozen, so an imbalance that exists now is reported by
   // the very next sweep (and nothing can fire earlier than that).
-  uint64_t Held = 0;
-  bool Live = TokensInFlight != 0;
-  for (const Core &C : M.Cores) {
-    for (const Hart &H : C.Harts) {
-      Held += H.Token;
-      if (H.State != HartState::Free)
-        Live = true;
-    }
-  }
-  if (Live && Held + TokensInFlight != 1)
-    return Next;
-
+  //
   // Reserved-hart leak: a frozen Reserved hart keeps aging across the
   // skip and trips the threshold at a known cycle; the report lands on
   // the first sweep boundary at or past that cycle.
   uint64_t LeakThreshold = M.Cfg.ProgressGuard / 2;
   if (LeakThreshold < I)
     LeakThreshold = I;
+  uint64_t Held = 0;
+  bool Live = TokensInFlight != 0;
   for (const Core &C : M.Cores) {
     for (const Hart &H : C.Harts) {
+      Held += H.Token;
+      if (H.State == HartState::Free)
+        continue;
+      Live = true;
       if (H.State != HartState::Reserved)
         continue;
       uint64_t Fires = H.StateSince + LeakThreshold + 1;
@@ -285,6 +291,8 @@ uint64_t Checker::nextSweepConcern(const Machine &M) const {
         Concern = Boundary;
     }
   }
+  if (Live && Held + TokensInFlight != 1)
+    return Next;
 
   // Wheel audit: the wheel contents and the pending counter are both
   // constant while frozen, so a divergence that exists now surfaces at

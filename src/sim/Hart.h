@@ -253,8 +253,8 @@ static_assert(offsetof(Hart, Sched) + sizeof(RobSummary) <= 64,
 
 /// One core: four harts plus the per-stage round-robin pointers ("each
 /// stage selects one active hart at every cycle", paper Sec. 5.2).
-/// The fast path's per-core sleep cycle lives in Machine::CoreWake, one
-/// contiguous vector the quiescence scan walks in a single pass.
+/// The fast path's per-core sleep cycle lives in Machine::CoreWake, next
+/// to the awake and timer core sets the scheduling loop walks.
 struct alignas(64) Core {
   Hart Harts[HartsPerCore];
   uint8_t FetchRR = 0;

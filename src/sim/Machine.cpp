@@ -37,6 +37,7 @@ Machine::Machine(const SimConfig &Config)
                        Cfg.TraceLineFile.c_str()));
   StallByCore.assign(Cfg.NumCores * NumStallSlots, 0);
   CoreWake.assign(Cfg.NumCores, 0);
+  rebuildAwakeSet();
   if (Cfg.CollectCounters) {
     Obs = std::make_unique<obs::PerfCounters>();
     Obs->init(Cfg);
@@ -1450,40 +1451,91 @@ uint64_t Machine::nextDeliveryCycle() const {
   return Next;
 }
 
-bool Machine::cycleStages() {
-  bool Acted = false;
+bool Machine::coreStages(unsigned CoreId) {
+  bool CoreActed = stageCommit(CoreId);
+  if (Halted)
+    return CoreActed;
+  CoreActed |= stageWriteback(CoreId);
+  CoreActed |= stageIssue(CoreId);
+  if (Halted)
+    return CoreActed;
+  CoreActed |= stageDecode(CoreId);
+  if (Halted)
+    return CoreActed;
+  return CoreActed | stageFetch(CoreId);
+}
+
+void Machine::cycleStages() {
   for (unsigned CoreId = 0; CoreId != Cfg.NumCores; ++CoreId) {
-    Core &C = Cores[CoreId];
-    // Active-set scheduling: a sleeping core provably cannot act
-    // before its WakeAt (deliveries and hart frees pull it forward),
-    // and the round-robin pointers only advance on actions, so
-    // skipping its stages is invisible to the event stream.
-    if (FastRun && Cycle < CoreWake[CoreId])
-      continue;
-    bool CoreActed = stageCommit(CoreId);
+    coreStages(CoreId);
     if (Halted)
       break;
-    CoreActed |= stageWriteback(CoreId);
-    CoreActed |= stageIssue(CoreId);
-    if (Halted)
-      break;
-    CoreActed |= stageDecode(CoreId);
-    if (Halted)
-      break;
-    CoreActed |= stageFetch(CoreId);
-    if (Halted)
-      break;
-    if (FastRun) {
-      if (CoreActed) {
-        CoreWake[CoreId] = Cycle; // stay hot: more work next cycle
-        Acted = true;
-      } else {
-        // Later same-cycle wakeCore calls still pull this forward.
-        CoreWake[CoreId] = coreWakeCycle(C, Cycle);
+  }
+}
+
+bool Machine::cycleAwakeStages() {
+  // Sleepers whose timer expires this cycle rejoin the awake set.
+  for (size_t W = 0; W != Timed.size(); ++W)
+    for (uint64_t Bits = Timed[W]; Bits != 0; Bits &= Bits - 1) {
+      unsigned CoreId = static_cast<unsigned>(W * 64) + __builtin_ctzll(Bits);
+      if (CoreWake[CoreId] <= Cycle) {
+        uint64_t Bit = uint64_t(1) << (CoreId % 64);
+        Timed[W] &= ~Bit;
+        Awake[W] |= Bit;
       }
     }
-  }
+
+  // Active-set scheduling: a sleeping core provably cannot act before
+  // its CoreWake cycle, and the round-robin pointers only advance on
+  // actions, so visiting only the awake cores, in ascending order, is
+  // invisible to the event stream. The bits of each word are read once:
+  // the stages only wake the core being walked or the one before it.
+  bool Acted = false;
+  for (size_t W = 0; W != Awake.size(); ++W)
+    for (uint64_t Bits = Awake[W]; Bits != 0; Bits &= Bits - 1) {
+      unsigned CoreId = static_cast<unsigned>(W * 64) + __builtin_ctzll(Bits);
+      bool CoreActed = coreStages(CoreId);
+      if (Halted)
+        return Acted;
+      if (CoreActed) {
+        CoreWake[CoreId] = Cycle; // stay awake: more work next cycle
+        Acted = true;
+        continue;
+      }
+      uint64_t Wake = coreWakeCycle(Cores[CoreId], Cycle);
+      uint64_t Bit = uint64_t(1) << (CoreId % 64);
+      CoreWake[CoreId] = Wake;
+      Awake[W] &= ~Bit;
+      if (Wake != UINT64_MAX)
+        Timed[W] |= Bit;
+    }
   return Acted;
+}
+
+uint64_t Machine::nextCoreWakeCycle() const {
+  uint64_t Next = UINT64_MAX;
+  for (size_t W = 0; W != Awake.size(); ++W) {
+    if (Awake[W] != 0)
+      return Cycle + 1;
+    for (uint64_t Bits = Timed[W]; Bits != 0; Bits &= Bits - 1) {
+      uint64_t Wake = CoreWake[W * 64 + __builtin_ctzll(Bits)];
+      if (Wake < Next)
+        Next = Wake;
+    }
+  }
+  return Next;
+}
+
+void Machine::rebuildAwakeSet() {
+  Awake.assign((Cfg.NumCores + 63) / 64, 0);
+  Timed.assign(Awake.size(), 0);
+  for (unsigned CoreId = 0; CoreId != Cfg.NumCores; ++CoreId) {
+    uint64_t Bit = uint64_t(1) << (CoreId % 64);
+    if (CoreWake[CoreId] <= Cycle)
+      Awake[CoreId / 64] |= Bit;
+    else if (CoreWake[CoreId] != UINT64_MAX)
+      Timed[CoreId / 64] |= Bit;
+  }
 }
 
 RunStatus Machine::run(uint64_t MaxCycles) {
@@ -1510,7 +1562,11 @@ RunStatus Machine::run(uint64_t MaxCycles) {
     if (Halted)
       break;
 
-    bool Acted = cycleStages();
+    bool Acted = false;
+    if (FastRun)
+      Acted = cycleAwakeStages();
+    else
+      cycleStages();
     if (Halted)
       break;
 
@@ -1535,9 +1591,9 @@ RunStatus Machine::run(uint64_t MaxCycles) {
     // observable, so the event stream is bit-identical.
     if (FastRun && !Acted) {
       uint64_t Target = nextDeliveryCycle();
-      for (uint64_t W : CoreWake)
-        if (W < Target)
-          Target = W;
+      uint64_t Wake = nextCoreWakeCycle();
+      if (Wake < Target)
+        Target = Wake;
       uint64_t LivelockAt = Cfg.ProgressGuard >= UINT64_MAX - LastProgress
                                 ? UINT64_MAX
                                 : LastProgress + Cfg.ProgressGuard + 1;

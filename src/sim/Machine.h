@@ -292,9 +292,9 @@ private:
   /// Fills DecodedText from the code image (FastPath; load and snapshot
   /// restore).
   void predecodeText();
-  /// One pass over every core's stages for the current cycle. Returns
-  /// true when any core acted; false also on halt.
-  bool cycleStages();
+  /// The reference loop: one pass over every core's stages for the
+  /// current cycle (the fast path's oracle).
+  void cycleStages();
 
   // -- Fast path (SimConfig::FastPath; docs/PERFORMANCE.md) -------------
   /// Earliest cycle strictly comparable to \p Now at which any stage of
@@ -305,11 +305,30 @@ private:
   /// act).
   uint64_t coreWakeCycle(const Core &C, uint64_t Now) const;
   /// Pulls \p CoreId's wake cycle forward to \p At (never pushes it
-  /// back).
+  /// back) and puts the core in the awake set. \p At is this cycle (a
+  /// delivery, before the stages run) or the next one (a hart free, on
+  /// this core or the one before it, both already walked this cycle), so
+  /// the core's next visit is at \p At either way.
   void wakeCore(unsigned CoreId, uint64_t At) {
-    if (At < CoreWake[CoreId])
+    if (At < CoreWake[CoreId]) {
       CoreWake[CoreId] = At;
+      uint64_t Bit = uint64_t(1) << (CoreId % 64);
+      Awake[CoreId / 64] |= Bit;
+      Timed[CoreId / 64] &= ~Bit;
+    }
   }
+  /// Fast path: one pass over the awake cores' stages, ascending.
+  /// Returns true when any core acted; false also on halt.
+  bool cycleAwakeStages();
+  /// Runs \p CoreId's five stages for this cycle; true when any acted.
+  /// Leaves \p Halted set when a stage halted the machine.
+  bool coreStages(unsigned CoreId);
+  /// Earliest cycle at which any core could act on its own: Cycle + 1
+  /// while a core is awake, else the earliest timer among the sleepers
+  /// (UINT64_MAX when every core waits on a delivery).
+  uint64_t nextCoreWakeCycle() const;
+  /// Rebuilds the awake and timer sets from CoreWake (snapshot restore).
+  void rebuildAwakeSet();
   /// Cycle of the earliest pending delivery strictly after Cycle, or
   /// UINT64_MAX when none is in flight.
   uint64_t nextDeliveryCycle() const;
@@ -332,12 +351,18 @@ private:
   Checker Ck;
   std::vector<Core> Cores;
   /// Fast-path sleep state, one entry per core (see wakeCore): the
-  /// earliest cycle at which a stage on core i could act again. The
-  /// scheduling loops skip a core's stages while the cycle is below its
-  /// entry; deliveries and hart frees pull it forward. Spurious wakes
-  /// are harmless (the stages no-op and the core re-sleeps); the
-  /// reference path ignores it.
+  /// earliest cycle at which a stage on core i could act again. The fast
+  /// path runs a core's stages only from that cycle on; deliveries and
+  /// hart frees pull it forward. Spurious wakes are harmless (the stages
+  /// no-op and the core re-sleeps); the reference path ignores it.
   std::vector<uint64_t> CoreWake;
+  /// The fast path's core sets, one bit per core in ceil(NumCores / 64)
+  /// words. Awake: the cores whose stages run this cycle, exactly those
+  /// with CoreWake at or before it. Timed: the sleepers with a finite
+  /// CoreWake, which rejoin Awake at that cycle. A core in neither
+  /// sleeps until a delivery or a hart free wakes it.
+  std::vector<uint64_t> Awake;
+  std::vector<uint64_t> Timed;
 
   uint64_t Cycle = 0;
   uint64_t LastProgress = 0;

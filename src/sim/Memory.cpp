@@ -7,7 +7,11 @@
 #include "sim/Memory.h"
 #include "isa/AddressMap.h"
 #include "support/Compiler.h"
+
 #include <cstdio>
+#include <new>
+
+#include <sys/mman.h>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -16,12 +20,36 @@ using namespace lbp::sim;
 // MemorySystem
 //===----------------------------------------------------------------------===//
 
-MemorySystem::MemorySystem(const SimConfig &Config)
-    : BankSize(Config.globalBankSize()) {
-  LocalBanks.assign(Config.NumCores,
-                    std::vector<uint8_t>(isa::LocalSize, 0));
-  GlobalBanks.assign(Config.NumCores, std::vector<uint8_t>(BankSize, 0));
+/// Bytes of the bank store for \p Config: every local and global bank,
+/// rounded up to a whole page. A store beyond 1 TiB is refused like any
+/// other allocation that cannot be met; below it, checkpoints can number
+/// its blocks with 32 bits.
+static size_t storeBytesFor(const SimConfig &Config) {
+  uint64_t Bytes = static_cast<uint64_t>(Config.NumCores) *
+                   (isa::LocalSize + uint64_t(Config.globalBankSize()));
+  if (Bytes > uint64_t(1) << 40)
+    throw std::bad_alloc();
+  Bytes = (Bytes + MemorySystem::PageBytes - 1) / MemorySystem::PageBytes *
+          MemorySystem::PageBytes;
+  return Bytes != 0 ? Bytes : MemorySystem::PageBytes;
 }
+
+/// A zero-filled anonymous mapping of \p Bytes: the host backs a page
+/// only once it is written.
+static uint8_t *mapZeroed(size_t Bytes) {
+  void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  return static_cast<uint8_t *>(P);
+}
+
+MemorySystem::MemorySystem(const SimConfig &Config)
+    : Store(mapZeroed(storeBytesFor(Config)), Unmap{storeBytesFor(Config)}),
+      Written((storeBytesFor(Config) / PageBytes + 63) / 64, 0),
+      NumCores(Config.NumCores), BankSize(Config.globalBankSize()) {}
+
+void MemorySystem::Unmap::operator()(uint8_t *P) const { munmap(P, Bytes); }
 
 void MemorySystem::writeCode(uint32_t Addr, uint8_t Byte) {
   if (Addr >= Code.size())
@@ -39,45 +67,67 @@ uint32_t MemorySystem::fetchWord(uint32_t Addr) const {
   return Word;
 }
 
-static uint32_t readBytes(const std::vector<uint8_t> &Bank, uint32_t Offset,
-                          unsigned Width) {
-  if (Offset + Width > Bank.size()) {
-    std::fprintf(stderr, "bank read out of range: offset %u width %u size %zu\n", Offset, Width, Bank.size());
-    std::abort();
-  }
+// The banks share one mapping, so an access past a bank's end would land
+// silently in its neighbour where no sanitizer can see it. Every access
+// is therefore range-checked here, reads and writes alike.
+[[noreturn]] static void bankRangeError(const char *Kind, unsigned Bank,
+                                        unsigned NumBanks, uint32_t Offset,
+                                        unsigned Width, uint32_t Size) {
+  std::fprintf(stderr,
+               "%s bank access out of range: bank %u of %u, offset %u "
+               "width %u size %u\n",
+               Kind, Bank, NumBanks, Offset, Width, Size);
+  std::abort();
+}
+
+size_t MemorySystem::localAt(unsigned Core, uint32_t Offset,
+                             unsigned Width) const {
+  if (Core >= NumCores || Offset > isa::LocalSize ||
+      Width > isa::LocalSize - Offset)
+    bankRangeError("local", Core, NumCores, Offset, Width, isa::LocalSize);
+  return static_cast<size_t>(Core) * isa::LocalSize + Offset;
+}
+
+size_t MemorySystem::globalAt(unsigned Bank, uint32_t Offset,
+                              unsigned Width) const {
+  if (Bank >= NumCores || Offset > BankSize || Width > BankSize - Offset)
+    bankRangeError("global", Bank, NumCores, Offset, Width, BankSize);
+  return static_cast<size_t>(NumCores) * isa::LocalSize +
+         static_cast<size_t>(Bank) * BankSize + Offset;
+}
+
+uint32_t MemorySystem::load(size_t At, unsigned Width) const {
   uint32_t Value = 0;
   for (unsigned B = 0; B != Width; ++B)
-    Value |= static_cast<uint32_t>(Bank[Offset + B]) << (8 * B);
+    Value |= static_cast<uint32_t>(Store[At + B]) << (8 * B);
   return Value;
 }
 
-static void writeBytes(std::vector<uint8_t> &Bank, uint32_t Offset,
-                       uint32_t Value, unsigned Width) {
-  assert(Offset + Width <= Bank.size() && "bank access out of range");
+void MemorySystem::store(size_t At, uint32_t Value, unsigned Width) {
+  markWritten(At);
+  markWritten(At + Width - 1);
   for (unsigned B = 0; B != Width; ++B)
-    Bank[Offset + B] = static_cast<uint8_t>(Value >> (8 * B));
+    Store[At + B] = static_cast<uint8_t>(Value >> (8 * B));
 }
 
 uint32_t MemorySystem::readLocal(unsigned Core, uint32_t Offset,
                                  unsigned Width) const {
-  if (Core >= LocalBanks.size()) { std::fprintf(stderr, "readLocal core %u of %zu\n", Core, LocalBanks.size()); std::abort(); }
-  return readBytes(LocalBanks[Core], Offset, Width);
+  return load(localAt(Core, Offset, Width), Width);
 }
 
 void MemorySystem::writeLocal(unsigned Core, uint32_t Offset, uint32_t Value,
                               unsigned Width) {
-  writeBytes(LocalBanks[Core], Offset, Value, Width);
+  store(localAt(Core, Offset, Width), Value, Width);
 }
 
 uint32_t MemorySystem::readGlobal(unsigned Bank, uint32_t Offset,
                                   unsigned Width) const {
-  if (Bank >= GlobalBanks.size()) { std::fprintf(stderr, "readGlobal bank %u of %zu\n", Bank, GlobalBanks.size()); std::abort(); }
-  return readBytes(GlobalBanks[Bank], Offset, Width);
+  return load(globalAt(Bank, Offset, Width), Width);
 }
 
 void MemorySystem::writeGlobal(unsigned Bank, uint32_t Offset, uint32_t Value,
                                unsigned Width) {
-  writeBytes(GlobalBanks[Bank], Offset, Value, Width);
+  store(globalAt(Bank, Offset, Width), Value, Width);
 }
 
 //===----------------------------------------------------------------------===//

@@ -27,7 +27,9 @@
 
 #include "sim/Config.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace lbp {
@@ -36,20 +38,50 @@ namespace sim {
 struct SnapshotAccess; // checkpoint serializer (sim/Snapshot.cpp)
 
 /// Raw storage behind the address map.
+///
+/// Every local bank, then every global bank, lives back to back in one
+/// zero-filled anonymous mapping (the bank store), so the host faults
+/// in only the pages a run actually writes: a 64-core machine costs
+/// what its program touches, not 8 MiB of zero fill. The write paths
+/// keep a bitmap of written pages, which is how checkpoints find the
+/// nonzero part of the store and how restore clears what a machine had
+/// written before.
 class MemorySystem {
   friend struct SnapshotAccess;
+
+  /// Releases the bank store's mapping.
+  struct Unmap {
+    size_t Bytes;
+    void operator()(uint8_t *P) const;
+  };
+
   std::vector<uint8_t> Code;
-  std::vector<std::vector<uint8_t>> LocalBanks;  // one per core
-  std::vector<std::vector<uint8_t>> GlobalBanks; // one per core
+  std::unique_ptr<uint8_t[], Unmap> Store;
+  /// Bit P set: page P of the store (PageBytes each) has been written.
+  std::vector<uint64_t> Written;
+  unsigned NumCores;
   uint32_t BankSize;
 
+  size_t localAt(unsigned Core, uint32_t Offset, unsigned Width) const;
+  size_t globalAt(unsigned Bank, uint32_t Offset, unsigned Width) const;
+  uint32_t load(size_t At, unsigned Width) const;
+  void store(size_t At, uint32_t Value, unsigned Width);
+  void markWritten(size_t At) {
+    size_t Page = At / PageBytes;
+    Written[Page / 64] |= uint64_t(1) << (Page % 64);
+  }
+
 public:
+  /// Granularity of the written-page bitmap.
+  static constexpr size_t PageBytes = 4096;
+
   explicit MemorySystem(const SimConfig &Config);
 
   uint32_t bankSize() const { return BankSize; }
-  unsigned numBanks() const {
-    return static_cast<unsigned>(GlobalBanks.size());
-  }
+  unsigned numBanks() const { return NumCores; }
+  /// Mapped bytes of the bank store: every bank, rounded up to a whole
+  /// page.
+  size_t storeBytes() const { return Store.get_deleter().Bytes; }
 
   /// Code image accessors (word granularity; reads beyond the image
   /// return zero, which decodes as an invalid instruction).

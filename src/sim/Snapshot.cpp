@@ -21,6 +21,8 @@
 #include "support/EventHash.h"
 #include "support/Serialize.h"
 
+#include <cstring>
+
 using namespace lbp;
 using namespace lbp::sim;
 
@@ -264,43 +266,85 @@ struct SnapshotAccess {
 
   // -- Subsystems ------------------------------------------------------
 
+  /// True when the \p N bytes at \p P are all zero.
+  static bool allZero(const uint8_t *P, size_t N) {
+    uint64_t Or = 0;
+    for (size_t I = 0; I != N; I += 8) {
+      uint64_t Word;
+      std::memcpy(&Word, P + I, 8);
+      Or |= Word;
+    }
+    return Or == 0;
+  }
+
   static void saveMemory(ByteWriter &W, const MemorySystem &M) {
     W.vecU8(M.Code);
-    W.u64(M.LocalBanks.size());
-    for (const auto &B : M.LocalBanks)
-      W.vecU8(B);
-    W.u64(M.GlobalBanks.size());
-    for (const auto &B : M.GlobalBanks)
-      W.vecU8(B);
+    // The bank store's nonzero blocks, ascending. Only a written page
+    // can hold one, so the written-page bitmap bounds the scan; which
+    // blocks are emitted depends on the store's contents alone.
+    static_assert(MemorySystem::PageBytes % SnapshotBlockBytes == 0,
+                  "a page holds whole blocks");
+    constexpr size_t PerPage = MemorySystem::PageBytes / SnapshotBlockBytes;
+    const uint8_t *Store = M.Store.get();
+    std::vector<uint32_t> Blocks;
+    for (size_t Word = 0; Word != M.Written.size(); ++Word)
+      for (uint64_t Bits = M.Written[Word]; Bits != 0; Bits &= Bits - 1) {
+        size_t First = (Word * 64 + __builtin_ctzll(Bits)) * PerPage;
+        for (size_t B = First; B != First + PerPage; ++B)
+          if (!allZero(Store + B * SnapshotBlockBytes, SnapshotBlockBytes))
+            Blocks.push_back(static_cast<uint32_t>(B));
+      }
+    W.u64(Blocks.size());
+    for (uint32_t B : Blocks)
+      W.u32(B);
+    for (uint32_t B : Blocks)
+      W.bytes(Store + static_cast<size_t>(B) * SnapshotBlockBytes,
+              SnapshotBlockBytes);
   }
   static bool restoreMemory(ByteReader &R, MemorySystem &M,
                             std::string &Err) {
     M.Code = R.vecU8();
-    uint64_t NL = R.u64();
-    if (NL != M.LocalBanks.size()) {
-      Err = "snapshot: local bank count mismatch";
+    uint64_t Count = R.u64();
+    if (!R.ok())
+      return false;
+    // Everything is validated before the first byte is copied.
+    const uint64_t NumBlocks = M.storeBytes() / SnapshotBlockBytes;
+    if (Count > NumBlocks) {
+      Err = "snapshot: memory block count exceeds the bank store";
       return false;
     }
-    for (auto &B : M.LocalBanks) {
-      std::vector<uint8_t> V = R.vecU8();
-      if (V.size() != B.size()) {
-        Err = "snapshot: local bank size mismatch";
-        return false;
-      }
-      B = std::move(V);
-    }
-    uint64_t NG = R.u64();
-    if (NG != M.GlobalBanks.size()) {
-      Err = "snapshot: global bank count mismatch";
+    if (R.remaining() < Count * (4 + SnapshotBlockBytes)) {
+      Err = "snapshot: memory section truncated (its blocks run past the "
+            "end of the blob)";
       return false;
     }
-    for (auto &B : M.GlobalBanks) {
-      std::vector<uint8_t> V = R.vecU8();
-      if (V.size() != B.size()) {
-        Err = "snapshot: global bank size mismatch";
+    std::vector<uint32_t> Blocks(Count);
+    for (uint32_t &B : Blocks)
+      B = R.u32();
+    for (size_t I = 0; I != Blocks.size(); ++I) {
+      if (Blocks[I] >= NumBlocks) {
+        Err = "snapshot: memory block index out of range";
         return false;
       }
-      B = std::move(V);
+      if (I != 0 && Blocks[I] <= Blocks[I - 1]) {
+        Err = "snapshot: memory block indices not strictly ascending";
+        return false;
+      }
+    }
+
+    // Clear every page this machine has written, then lay the blocks in.
+    uint8_t *Store = M.Store.get();
+    for (size_t Word = 0; Word != M.Written.size(); ++Word) {
+      for (uint64_t Bits = M.Written[Word]; Bits != 0; Bits &= Bits - 1)
+        std::memset(Store + (Word * 64 + __builtin_ctzll(Bits)) *
+                                MemorySystem::PageBytes,
+                    0, MemorySystem::PageBytes);
+      M.Written[Word] = 0;
+    }
+    for (uint32_t B : Blocks) {
+      size_t At = static_cast<size_t>(B) * SnapshotBlockBytes;
+      R.bytes(Store + At, SnapshotBlockBytes);
+      M.markWritten(At);
     }
     return R.ok();
   }
@@ -738,8 +782,10 @@ struct SnapshotAccess {
       return false;
     }
 
-    // Derived state. The pre-decoded text cache mirrors the code image;
-    // the reference engine never reads it, so it is cleared there.
+    // Derived state. The awake and timer sets follow from CoreWake and
+    // Cycle. The pre-decoded text cache mirrors the code image; the
+    // reference engine never reads it, so it is cleared there.
+    M.rebuildAwakeSet();
     if (M.FastRun)
       M.predecodeText();
     else

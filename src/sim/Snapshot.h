@@ -30,6 +30,13 @@
 ///                        wheel + overflow heap, machine scalars,
 ///                        fault-plan cursor, checker accounting, trace
 ///                        hash, perf counters, devices
+///   memory section     — the code image (u64 length + bytes), then the
+///                        bank store's nonzero SnapshotBlockBytes-sized
+///                        blocks: u64 count, count x u32 block index
+///                        (strictly ascending), count x block bytes.
+///                        Every other block is zero. The section is a
+///                        pure function of the memory contents, so
+///                        save -> restore -> save is byte-identical.
 ///   u32 trailer magic  — truncation guard
 ///
 /// Versioning: SnapshotFormatVersion bumps on any layout change;
@@ -44,6 +51,7 @@
 
 #include "sim/Config.h"
 
+#include <cstddef>
 #include <cstdint>
 
 namespace lbp {
@@ -63,7 +71,13 @@ constexpr uint32_t SnapshotMagic = 0x5350424Cu;
 /// RenameSeq) and no per-source SrcReady; RbEntry is one byte. The ROB
 /// entries' micro-op flags and each hart's scheduling summary are
 /// rebuilt from the saved ROB on restore.
-constexpr uint32_t SnapshotFormatVersion = 5;
+/// v6: the memory section holds only the bank store's nonzero blocks
+/// instead of every bank in full.
+constexpr uint32_t SnapshotFormatVersion = 6;
+
+/// Block size of the memory section's sparse bank store (divides
+/// MemorySystem::PageBytes).
+constexpr size_t SnapshotBlockBytes = 256;
 
 /// Trailer sentinel appended after the last section.
 constexpr uint32_t SnapshotTrailer = 0x50414E53u; // 'S' 'N' 'A' 'P'

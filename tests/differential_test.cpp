@@ -13,8 +13,9 @@
 //
 // Then the engine differential: the fast path against the reference
 // loop it must be indistinguishable from, over every paper workload,
-// the Det-C corpus, protocol-heavy fork/join programs, a six-case fault
-// matrix, MaxCycles truncation and the timeline exports.
+// the Det-C corpus, protocol-heavy fork/join programs (up to 64- and
+// 128-core lines), a six-case fault matrix, MaxCycles truncation and the
+// timeline exports.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,8 @@
 #include "workloads/MatMul.h"
 #include "workloads/Phases.h"
 #include "workloads/Pipeline.h"
+
+#include "WideForkJoin.h"
 
 #include <gtest/gtest.h>
 
@@ -568,6 +571,36 @@ TEST(FastPathDifferential, TruncationMidQuiescentSkip) {
                      static_cast<unsigned long long>(MaxCycles)),
         MaxCycles);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Wide machines: at 64 cores the fast path's awake-core set fills one
+// 64-bit word, at 128 cores it spans two.
+//===----------------------------------------------------------------------===//
+
+TEST(FastPathDifferential, WideForkJoinUnderFaults) {
+  sweepFaults(test::wideForkJoinProgram(), test::wideConfig(),
+              "wide-forkjoin");
+}
+
+TEST(FastPathDifferential, WideForkJoinTruncation) {
+  // Budgets that run out while a team is still being built, while the
+  // largest team runs and in a narrow region between wide ones.
+  for (uint64_t MaxCycles : {333ull, 4321ull, 15000ull, 30001ull})
+    expectFastPathIdentical(
+        test::wideForkJoinProgram(), test::wideConfig(),
+        formatString("wide-forkjoin truncated at %llu",
+                     static_cast<unsigned long long>(MaxCycles)),
+        MaxCycles);
+}
+
+TEST(FastPathDifferential, TwoChipLine) {
+  // 128 cores, two 64-core chips (Fig. 15): one 512-hart team spans the
+  // line, so cores in both words of the awake set fork, run and retire.
+  SimConfig Cfg = SimConfig::lbp(128);
+  Cfg.GlobalBankSizeLog2 = 14;
+  expectFastPathIdentical(barrierProgram(/*NumHarts=*/512, /*Rounds=*/2),
+                          Cfg, "two-chip line");
 }
 
 } // namespace

@@ -12,7 +12,8 @@
 // the BENCH_simspeed.json workloads that src/workloads rebuilds exactly
 // (same values as recorded there); the Det-C cells cover the compiled
 // corpus in examples/detc, including the p_swre/p_lwre result-slot path
-// of chunked_sum.c.
+// of chunked_sum.c; the wide cell is the 64-core fork/join program of
+// tests/WideForkJoin.h, whose teams spread from 1 to 256 harts.
 //
 // A legitimate change to the simulated machine moves these values; the
 // change must then say so and update them together with
@@ -27,6 +28,8 @@
 #include "support/StringUtils.h"
 #include "workloads/MatMul.h"
 #include "workloads/Phases.h"
+
+#include "WideForkJoin.h"
 
 #include <gtest/gtest.h>
 
@@ -120,6 +123,11 @@ TEST(Golden, Phases16Harts) {
 
 TEST(Golden, Phases64Harts) {
   expectPhasesGolden(64, {10472, 33947, 0x8e902576b88cff5dULL});
+}
+
+TEST(Golden, WideForkJoin64Cores) {
+  expectGolden(test::wideForkJoinProgram(), test::wideConfig(),
+               {40641, 34142, 0xf0eb282e9401453aULL}, "wide-forkjoin");
 }
 
 TEST(Golden, DetCCorpus) {

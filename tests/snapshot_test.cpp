@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "asm/Assembler.h"
+#include "isa/AddressMap.h"
 #include "obs/Report.h"
 #include "romp/AsmText.h"
 #include "romp/Runtime.h"
@@ -30,6 +31,8 @@
 #include "workloads/Phases.h"
 #include "workloads/Pipeline.h"
 #include "workloads/SensorFusion.h"
+
+#include "WideForkJoin.h"
 
 #include <gtest/gtest.h>
 
@@ -282,6 +285,68 @@ TEST(Snapshot, ResumeMidQuiescentSpin) {
 }
 
 //===----------------------------------------------------------------------===//
+// Wide machines and the sparse memory section
+//===----------------------------------------------------------------------===//
+
+TEST(Snapshot, WideForkJoinSaveRestoreSaveIsByteIdentical) {
+  // A 64-core fork/join machine mid-run: teams half built, most cores
+  // asleep, the awake-core set rebuilt from the restored wake cycles.
+  // The blob holds only the nonzero blocks of the 8 MiB bank store.
+  assembler::Program Prog = assembleOrDie(test::wideForkJoinProgram());
+  for (const EngineCell &C : Cells) {
+    SimConfig Cfg = cellConfig(test::wideConfig(), C);
+    for (uint64_t SnapAt : {2500ull, 19999ull}) {
+      expectResumeIdentical(Prog, Cfg, Cfg, SnapAt,
+                            std::string("wide/") + C.Name);
+      Machine M(Cfg);
+      M.load(Prog);
+      M.run(SnapAt);
+      std::vector<uint8_t> Blob;
+      M.saveSnapshot(Blob);
+      EXPECT_LT(Blob.size(), 1u << 20) << C.Name << " at " << SnapAt;
+    }
+  }
+}
+
+TEST(Snapshot, RestoreIntoFinishedMachineClearsItsPages) {
+  // Restore an early snapshot into a machine that already ran the same
+  // program to completion. Every page the finished run wrote must read
+  // as zero again unless the blob says otherwise: re-saving yields the
+  // blob itself, and the resumed run matches the uninterrupted one.
+  assembler::Program Prog = assembleOrDie(test::wideForkJoinProgram());
+  for (const EngineCell &C : Cells) {
+    SimConfig Cfg = cellConfig(test::wideConfig(), C);
+    Machine Full(Cfg);
+    Full.load(Prog);
+    Fingerprint Want = fingerprint(Full, Full.run());
+    ASSERT_EQ(Want.Status, RunStatus::Exited) << C.Name;
+
+    Machine Early(Cfg);
+    Early.load(Prog);
+    Early.run(1500);
+    std::vector<uint8_t> Blob;
+    Early.saveSnapshot(Blob);
+
+    std::string Err;
+    ASSERT_TRUE(Full.restoreSnapshot(Blob, Err)) << C.Name << ": " << Err;
+    std::vector<uint8_t> Again;
+    Full.saveSnapshot(Again);
+    EXPECT_EQ(Blob, Again) << C.Name << ": stale pages survived restore";
+    EXPECT_EQ(Full.debugReadWord(test::WideOutBase +
+                                 4 * (4 * test::WideCores * 7 + 3)),
+              0u)
+        << C.Name << ": the last region's output was not cleared";
+    EXPECT_TRUE(Want == fingerprint(Full, Full.run()))
+        << C.Name << ": resumed run diverged";
+    for (unsigned T = 0; T != test::WideTeams[7]; ++T)
+      ASSERT_EQ(Full.debugReadWord(test::WideOutBase +
+                                   4 * (4 * test::WideCores * 7 + T)),
+                test::wideValue(7, T))
+          << C.Name << " member " << T;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Mid fault-injection window
 //===----------------------------------------------------------------------===//
 
@@ -484,14 +549,14 @@ void expectOldVersionRejected(uint32_t Version) {
   M.run(100);
   std::vector<uint8_t> Blob;
   M.saveSnapshot(Blob);
-  ASSERT_EQ(SnapshotFormatVersion, 5u);
+  ASSERT_EQ(SnapshotFormatVersion, 6u);
   Blob[4] = static_cast<uint8_t>(Version); // the little-endian u32 after
   Blob[5] = Blob[6] = Blob[7] = 0;         // the magic
   Machine R(Cfg);
   std::string Err;
   EXPECT_FALSE(R.restoreSnapshot(Blob, Err));
   EXPECT_NE(Err.find("format version " + std::to_string(Version) +
-                     " (expected 5)"),
+                     " (expected 6)"),
             std::string::npos)
       << Err;
 }
@@ -538,6 +603,133 @@ TEST(Snapshot, RejectsFormatVersion4Blob) {
   // Version 4 blobs carried the rename stamps and per-source ready bits
   // that v5 derives from the ROB instead.
   expectOldVersionRejected(4);
+}
+
+TEST(Snapshot, RejectsFormatVersion5Blob) {
+  // Version 5 blobs carried every bank in full; v6 holds only the bank
+  // store's nonzero blocks.
+  expectOldVersionRejected(5);
+}
+
+/// Where the memory section's parts sit in a blob: the code image comes
+/// right after the 16-byte header, then the block count, the block
+/// indices and the blocks themselves.
+struct MemorySection {
+  size_t Count;   ///< Offset of the u64 block count.
+  size_t Indices; ///< Offset of the first u32 block index.
+  size_t Blocks;  ///< Offset of the first block's bytes.
+  uint64_t NumBlocks;
+};
+
+uint64_t readU64(const std::vector<uint8_t> &B, size_t At) {
+  uint64_t V = 0;
+  for (unsigned I = 0; I != 8; ++I)
+    V |= static_cast<uint64_t>(B[At + I]) << (8 * I);
+  return V;
+}
+
+uint32_t readU32(const std::vector<uint8_t> &B, size_t At) {
+  return static_cast<uint32_t>(readU64(B, At));
+}
+
+void writeU32(std::vector<uint8_t> &B, size_t At, uint32_t V) {
+  for (unsigned I = 0; I != 4; ++I)
+    B[At + I] = static_cast<uint8_t>(V >> (8 * I));
+}
+
+MemorySection locateMemorySection(const std::vector<uint8_t> &Blob) {
+  MemorySection S;
+  S.Count = 16 + 8 + readU64(Blob, 16);
+  S.NumBlocks = readU64(Blob, S.Count);
+  S.Indices = S.Count + 8;
+  S.Blocks = S.Indices + 4 * S.NumBlocks;
+  return S;
+}
+
+/// Blocks of the 4-core bank store the rejection tests below restore
+/// into.
+uint64_t storeBlocks() {
+  SimConfig Cfg = SimConfig::lbp(4);
+  return Cfg.NumCores * (uint64_t(isa::LocalSize) + Cfg.globalBankSize()) /
+         SnapshotBlockBytes;
+}
+
+/// A 200-cycle phases snapshot (several nonzero blocks: stacks, the
+/// data segment, early outputs) and its memory section.
+std::vector<uint8_t> phasesBlob(MemorySection &S) {
+  Machine M(SimConfig::lbp(4));
+  M.load(assembleOrDie(phasesSrc()));
+  M.run(200);
+  std::vector<uint8_t> Blob;
+  M.saveSnapshot(Blob);
+  S = locateMemorySection(Blob);
+  EXPECT_GE(S.NumBlocks, 2u);
+  return Blob;
+}
+
+/// Expects \p Blob to be refused with a diagnostic containing \p Want.
+void expectMemoryRejected(const std::vector<uint8_t> &Blob,
+                          const std::string &Want) {
+  Machine R(SimConfig::lbp(4));
+  std::string Err;
+  EXPECT_FALSE(R.restoreSnapshot(Blob, Err));
+  EXPECT_NE(Err.find(Want), std::string::npos) << Err;
+}
+
+TEST(Snapshot, RejectsMemoryBlockIndexPastTheStore) {
+  MemorySection S;
+  std::vector<uint8_t> Blob = phasesBlob(S);
+  ASSERT_GE(S.NumBlocks, 2u);
+  // The last index names the block just past the store, and then one
+  // far beyond it.
+  for (uint32_t Bad : {static_cast<uint32_t>(storeBlocks()), 0xffffffffu}) {
+    std::vector<uint8_t> B = Blob;
+    writeU32(B, S.Indices + 4 * (S.NumBlocks - 1), Bad);
+    expectMemoryRejected(B, "block index out of range");
+  }
+}
+
+TEST(Snapshot, RejectsMemoryBlocksNotStrictlyAscending) {
+  MemorySection S;
+  std::vector<uint8_t> Blob = phasesBlob(S);
+  ASSERT_GE(S.NumBlocks, 2u);
+  uint32_t First = readU32(Blob, S.Indices);
+  uint32_t Second = readU32(Blob, S.Indices + 4);
+  { // Swapped.
+    std::vector<uint8_t> B = Blob;
+    writeU32(B, S.Indices, Second);
+    writeU32(B, S.Indices + 4, First);
+    expectMemoryRejected(B, "not strictly ascending");
+  }
+  { // Repeated.
+    std::vector<uint8_t> B = Blob;
+    writeU32(B, S.Indices + 4, First);
+    expectMemoryRejected(B, "not strictly ascending");
+  }
+}
+
+TEST(Snapshot, RejectsMemoryBlockCountAboveTheStore) {
+  MemorySection S;
+  std::vector<uint8_t> Blob = phasesBlob(S);
+  for (uint64_t Count : {storeBlocks() + 1, uint64_t(1) << 62, ~uint64_t(0)}) {
+    std::vector<uint8_t> B = Blob;
+    for (unsigned I = 0; I != 8; ++I)
+      B[S.Count + I] = static_cast<uint8_t>(Count >> (8 * I));
+    expectMemoryRejected(B, "block count exceeds the bank store");
+  }
+}
+
+TEST(Snapshot, RejectsBlobCutInsideAMemoryBlock) {
+  // Cut inside the first block, one byte into the last block, and
+  // inside the index list.
+  MemorySection S;
+  std::vector<uint8_t> Blob = phasesBlob(S);
+  for (size_t Cut : {S.Blocks + SnapshotBlockBytes / 2,
+                     S.Blocks + (S.NumBlocks - 1) * SnapshotBlockBytes + 1,
+                     S.Indices + 2}) {
+    std::vector<uint8_t> B(Blob.begin(), Blob.begin() + Cut);
+    expectMemoryRejected(B, "memory section truncated");
+  }
 }
 
 //===----------------------------------------------------------------------===//
