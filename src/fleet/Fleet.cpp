@@ -42,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <utility>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -105,6 +106,21 @@ bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Out) {
   Out.assign(std::istreambuf_iterator<char>(In),
              std::istreambuf_iterator<char>());
   return In.good() || In.eof();
+}
+
+/// The worker's verdict record on the pipe, written by childAttempt and
+/// read by parseResult.
+template <class Ar, class R> void resultRecord(Ar &A, R &Res) {
+  A.expect(ResultMagic, "bad magic");
+  A.u8(Res.Status, sim::RunStatus::Deadline, "invalid run status");
+  A.u64(Res.Cycles);
+  A.u64(Res.Retired);
+  A.u64(Res.TraceHash);
+  A.u32(Res.FaultsFired);
+  A.bytes(Res.Message);
+  A.bytes(Res.Engine);
+  A.u8(Res.ResumedFromCheckpoint);
+  A.finish(ResultTrailer, "truncated or trailing-garbage record");
 }
 
 /// Atomic checkpoint write: the blob lands under a temporary name and
@@ -180,17 +196,17 @@ bool writeFileAtomic(const std::string &Path,
   if (St == sim::RunStatus::MaxCycles)
     St = sim::RunStatus::Deadline;
 
-  ByteWriter W;
-  W.u32(ResultMagic);
-  W.u8(static_cast<uint8_t>(St));
-  W.u64(M.cycles());
-  W.u64(M.retired());
-  W.u64(M.traceHash());
-  W.u32(M.faultPlan().firedCount());
-  W.str(M.faultMessage());
-  W.str(M.engineName());
-  W.b(Resumed);
-  W.u32(ResultTrailer);
+  RunResult R;
+  R.Status = St;
+  R.Cycles = M.cycles();
+  R.Retired = M.retired();
+  R.TraceHash = M.traceHash();
+  R.FaultsFired = M.faultPlan().firedCount();
+  R.Message = M.faultMessage();
+  R.Engine = M.engineName();
+  R.ResumedFromCheckpoint = Resumed;
+  ArchiveWriter W;
+  resultRecord(W, std::as_const(R));
 
   const std::vector<uint8_t> &Buf = W.buffer();
   size_t Off = 0;
@@ -210,21 +226,9 @@ bool writeFileAtomic(const std::string &Path,
 /// Parses a child's result stream into \p R. False on any malformation
 /// (the attempt then counts as crashed).
 bool parseResult(const std::vector<uint8_t> &Bytes, RunResult &R) {
-  ByteReader Rd(Bytes);
-  if (Rd.u32() != ResultMagic)
-    return false;
-  uint8_t St = Rd.u8();
-  if (St > static_cast<uint8_t>(sim::RunStatus::Deadline))
-    return false;
-  R.Status = static_cast<sim::RunStatus>(St);
-  R.Cycles = Rd.u64();
-  R.Retired = Rd.u64();
-  R.TraceHash = Rd.u64();
-  R.FaultsFired = Rd.u32();
-  R.Message = Rd.str();
-  R.Engine = Rd.str();
-  R.ResumedFromCheckpoint = Rd.b();
-  if (Rd.u32() != ResultTrailer || !Rd.ok() || Rd.remaining() != 0)
+  ArchiveReader Rd(Bytes);
+  resultRecord(Rd, R);
+  if (!Rd.ok())
     return false;
   switch (R.Status) {
   case sim::RunStatus::Exited:

@@ -42,21 +42,22 @@ void SensorDevice::write(uint32_t Offset, uint32_t Value, uint64_t Cycle) {
   Armed = true;
 }
 
-void SensorDevice::saveState(ByteWriter &W) const {
-  W.u64(NextSample);
-  W.u64(Rng.state());
-  W.u64(ReadyCycle);
-  W.u32(Current);
-  W.b(Armed);
+template <class Ar, class Self>
+void SensorDevice::describe(Ar &A, Self &D) {
+  A.u64(D.NextSample);
+  A.check(D.NextSample == 0 || D.NextSample < D.Samples.size(),
+          "sensor sample index out of range");
+  uint64_t RngState = D.Rng.state();
+  A.u64(RngState);
+  if constexpr (Ar::Loading)
+    D.Rng.setState(RngState);
+  A.u64(D.ReadyCycle);
+  A.u32(D.Current);
+  A.u8(D.Armed);
 }
 
-void SensorDevice::restoreState(ByteReader &R) {
-  NextSample = R.u64();
-  Rng.setState(R.u64());
-  ReadyCycle = R.u64();
-  Current = R.u32();
-  Armed = R.b();
-}
+void SensorDevice::state(ArchiveWriter &A) const { describe(A, *this); }
+void SensorDevice::state(ArchiveReader &A) { describe(A, *this); }
 
 //===----------------------------------------------------------------------===//
 // ActuatorDevice
@@ -77,25 +78,16 @@ void ActuatorDevice::write(uint32_t Offset, uint32_t Value, uint64_t Cycle) {
     Log.push_back({Cycle, Value});
 }
 
-void ActuatorDevice::saveState(ByteWriter &W) const {
-  W.u64(Log.size());
-  for (const Record &Rec : Log) {
-    W.u64(Rec.Cycle);
-    W.u32(Rec.Value);
-  }
+template <class Ar, class Self>
+void ActuatorDevice::describe(Ar &A, Self &D) {
+  A.seq(D.Log, [](auto &A, auto &Rec) {
+    A.u64(Rec.Cycle);
+    A.u32(Rec.Value);
+  });
 }
 
-void ActuatorDevice::restoreState(ByteReader &R) {
-  Log.clear();
-  uint64_t N = R.u64();
-  Log.reserve(N);
-  for (uint64_t I = 0; I != N && R.ok(); ++I) {
-    Record Rec;
-    Rec.Cycle = R.u64();
-    Rec.Value = R.u32();
-    Log.push_back(Rec);
-  }
-}
+void ActuatorDevice::state(ArchiveWriter &A) const { describe(A, *this); }
+void ActuatorDevice::state(ArchiveReader &A) { describe(A, *this); }
 
 //===----------------------------------------------------------------------===//
 // TimerDevice
@@ -134,9 +126,13 @@ void StreamInDevice::write(uint32_t Offset, uint32_t Value, uint64_t Cycle) {
   (void)Cycle;
 }
 
-void StreamInDevice::saveState(ByteWriter &W) const { W.u64(Next); }
+template <class Ar, class Self>
+void StreamInDevice::describe(Ar &A, Self &D) {
+  A.u64(D.Next);
+}
 
-void StreamInDevice::restoreState(ByteReader &R) { Next = R.u64(); }
+void StreamInDevice::state(ArchiveWriter &A) const { describe(A, *this); }
+void StreamInDevice::state(ArchiveReader &A) { describe(A, *this); }
 
 uint32_t StreamOutDevice::read(uint32_t Offset, uint64_t Cycle) {
   (void)Cycle;
@@ -151,6 +147,10 @@ void StreamOutDevice::write(uint32_t Offset, uint32_t Value, uint64_t Cycle) {
     Data.push_back(Value);
 }
 
-void StreamOutDevice::saveState(ByteWriter &W) const { W.vecU32(Data); }
+template <class Ar, class Self>
+void StreamOutDevice::describe(Ar &A, Self &D) {
+  A.seq(D.Data, AsU32);
+}
 
-void StreamOutDevice::restoreState(ByteReader &R) { Data = R.vecU32(); }
+void StreamOutDevice::state(ArchiveWriter &A) const { describe(A, *this); }
+void StreamOutDevice::state(ArchiveReader &A) { describe(A, *this); }

@@ -47,12 +47,13 @@ public:
   /// Register write at \p Offset served at \p Cycle.
   virtual void write(uint32_t Offset, uint32_t Value, uint64_t Cycle) = 0;
 
-  /// Checkpoint hooks (sim/Snapshot.h): serialize the device's mutable
-  /// state (not its construction parameters — a restore targets a
-  /// machine whose devices were constructed identically). The defaults
-  /// cover stateless devices.
-  virtual void saveState(ByteWriter &W) const { (void)W; }
-  virtual void restoreState(ByteReader &R) { (void)R; }
+  /// Checkpoint hooks (sim/Snapshot.h): the device's mutable state
+  /// (not its construction parameters — a restore targets a machine
+  /// whose devices were constructed identically), one overload per
+  /// archive direction. A device implements both with one description
+  /// (support/Serialize.h). The defaults cover stateless devices.
+  virtual void state(ArchiveWriter &A) const { (void)A; }
+  virtual void state(ArchiveReader &A) { (void)A; }
 };
 
 /// An input sensor: arming it (a STATUS write) schedules the next sample
@@ -68,14 +69,16 @@ class SensorDevice : public IoDevice {
   uint32_t Current = 0;
   bool Armed = false;
 
+  template <class Ar, class Self> static void describe(Ar &A, Self &D);
+
 public:
   SensorDevice(std::vector<uint32_t> Samples, uint64_t Seed,
                uint64_t MinLatency, uint64_t MaxLatency);
 
   uint32_t read(uint32_t Offset, uint64_t Cycle) override;
   void write(uint32_t Offset, uint32_t Value, uint64_t Cycle) override;
-  void saveState(ByteWriter &W) const override;
-  void restoreState(ByteReader &R) override;
+  void state(ArchiveWriter &A) const override;
+  void state(ArchiveReader &A) override;
 };
 
 /// An output actuator: DATA writes are recorded with their service cycle.
@@ -88,13 +91,15 @@ public:
 
   uint32_t read(uint32_t Offset, uint64_t Cycle) override;
   void write(uint32_t Offset, uint32_t Value, uint64_t Cycle) override;
-  void saveState(ByteWriter &W) const override;
-  void restoreState(ByteReader &R) override;
+  void state(ArchiveWriter &A) const override;
+  void state(ArchiveReader &A) override;
 
   const std::vector<Record> &records() const { return Log; }
 
 private:
   std::vector<Record> Log;
+
+  template <class Ar, class Self> static void describe(Ar &A, Self &D);
 };
 
 /// A free-running cycle counter readable as an external timer.
@@ -110,25 +115,29 @@ class StreamInDevice : public IoDevice {
   std::vector<uint32_t> Data;
   size_t Next = 0;
 
+  template <class Ar, class Self> static void describe(Ar &A, Self &D);
+
 public:
   explicit StreamInDevice(std::vector<uint32_t> Data)
       : Data(std::move(Data)) {}
 
   uint32_t read(uint32_t Offset, uint64_t Cycle) override;
   void write(uint32_t Offset, uint32_t Value, uint64_t Cycle) override;
-  void saveState(ByteWriter &W) const override;
-  void restoreState(ByteReader &R) override;
+  void state(ArchiveWriter &A) const override;
+  void state(ArchiveReader &A) override;
 };
 
 /// A stream sink: DATA writes append to a buffer readable by the host.
 class StreamOutDevice : public IoDevice {
   std::vector<uint32_t> Data;
 
+  template <class Ar, class Self> static void describe(Ar &A, Self &D);
+
 public:
   uint32_t read(uint32_t Offset, uint64_t Cycle) override;
   void write(uint32_t Offset, uint32_t Value, uint64_t Cycle) override;
-  void saveState(ByteWriter &W) const override;
-  void restoreState(ByteReader &R) override;
+  void state(ArchiveWriter &A) const override;
+  void state(ArchiveReader &A) override;
 
   const std::vector<uint32_t> &data() const { return Data; }
 };

@@ -45,6 +45,8 @@
 namespace lbp {
 namespace sim {
 
+struct SnapshotAccess;
+
 enum class InterpStatus : uint8_t {
   Exited,      ///< p_ret with ra == 0, t0 == -1.
   MaxSteps,    ///< Budget exhausted.
@@ -77,13 +79,16 @@ public:
   uint32_t pc() const { return Pc; }
 
   /// Checkpointing (sim/Snapshot.h): serializes pc, registers, step
-  /// count, the result mailbox and the written-memory page overlay.
-  /// restore targets an Interp constructed over the same program; on
-  /// success execution continues exactly where the snapshot was taken.
+  /// count, the result mailbox and the written-memory page overlay,
+  /// under the machine blobs' header and trailer. restore targets an
+  /// Interp constructed over the same program; it refuses page bases
+  /// that are unaligned or not strictly ascending. On success execution
+  /// continues exactly where the snapshot was taken.
   void saveSnapshot(std::vector<uint8_t> &Out) const;
   bool restoreSnapshot(const std::vector<uint8_t> &Blob, std::string &Err);
 
 private:
+  friend struct SnapshotAccess; // checkpoint serializer (Snapshot.cpp)
   const assembler::Program &Prog;
   uint32_t Pc;
   uint32_t Regs[32] = {0};

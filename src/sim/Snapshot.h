@@ -37,7 +37,16 @@
 ///                        Every other block is zero. The section is a
 ///                        pure function of the memory contents, so
 ///                        save -> restore -> save is byte-identical.
-///   u32 trailer magic  — truncation guard
+///   u32 trailer magic  — truncation guard; nothing may follow it
+///
+/// Interp blobs share the magic, version and trailer around their own
+/// sections (pc, registers, steps, mailbox, written pages).
+///
+/// Each record is described once, over the symmetric archive of
+/// support/Serialize.h: save and restore run the same description, so
+/// they agree on the layout by construction. Restore refuses, with a
+/// diagnostic, any count the blob cannot back, any enum past its last
+/// value and any index that would leave the machine's arrays.
 ///
 /// Versioning: SnapshotFormatVersion bumps on any layout change;
 /// restore rejects a mismatched version or digest outright (no

@@ -126,8 +126,10 @@ std::vector<TraceDigest> Trace::digestEntries() const {
   std::vector<TraceDigest> Out;
   Out.reserve(Ring.size());
   // Before wraparound the ring is in order; after, the oldest retained
-  // entry sits at the next overwrite position.
-  size_t Start = Ring.size() < RingCap ? 0 : DigestTotal % RingCap;
+  // entry sits at the next overwrite position. With digests off the
+  // ring is empty and has no capacity to take a residue by.
+  size_t Start =
+      Ring.size() < RingCap || RingCap == 0 ? 0 : DigestTotal % RingCap;
   for (size_t I = 0; I != Ring.size(); ++I)
     Out.push_back(Ring[(Start + I) % Ring.size()]);
   return Out;

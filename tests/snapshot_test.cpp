@@ -733,6 +733,247 @@ TEST(Snapshot, RejectsBlobCutInsideAMemoryBlock) {
 }
 
 //===----------------------------------------------------------------------===//
+// Hostile blobs and pinned blob bytes
+//===----------------------------------------------------------------------===//
+
+/// A 4-core program whose blob has every variable-length section
+/// non-empty a while into the run. Hart 0 arms a sensor, polls it and
+/// writes the sample to an actuator twice, then forks a 16-member team.
+/// Every member stores its index to shared memory (the memory log) and
+/// sends it to hart 0's reduction slot; members 1 and 2 first spin on
+/// their stacks for 1500 iterations. Hart 0 collects only after the
+/// join, so the early sends queue in its result-slot backlog while
+/// members 1 and 2 spin, with their loads and stores on the wheel.
+std::string sectionsSrc() {
+  romp::AsmText Head;
+  romp::emitMainPrologue(Head);
+  Head.line("li s2, 0x%x", workloads::SensorBase(0));
+  Head.line("sw zero, 0(s2)");
+  Head.label("poll");
+  Head.line("lw t1, 0(s2)");
+  Head.line("beqz t1, poll");
+  Head.line("lw s3, 4(s2)");
+  Head.line("li s4, 0x%x", workloads::ActuatorBase);
+  Head.line("sw s3, 4(s4)");
+  Head.line("addi s3, s3, 1");
+  Head.line("sw s3, 4(s4)");
+  romp::emitParallelCall(Head, "member", 16, "0", 16);
+  Head.line("li s1, 0");
+  romp::emitReduceCollect(Head, "s1", 16);
+  Head.line("li t1, 0x20000000");
+  Head.line("sw s1, 0(t1)");
+  romp::AsmText Tail;
+  romp::emitMainEpilogue(Tail);
+  romp::emitParallelStart(Tail);
+  romp::AsmText Body;
+  Body.label("member");
+  Body.line("slli t1, a0, 2");
+  Body.line("li t2, 0x20000100");
+  Body.line("add t1, t1, t2");
+  Body.line("sw a0, 0(t1)");
+  Body.line("addi t3, a0, -1");
+  Body.line("li t4, 2");
+  Body.line("bgeu t3, t4, send");
+  Body.line("li t5, 1500");
+  Body.label("spin");
+  Body.line("lw t6, -4(sp)");
+  Body.line("add t6, t6, t5");
+  Body.line("sw t6, -4(sp)");
+  Body.line("addi t5, t5, -1");
+  Body.line("bnez t5, spin");
+  Body.label("send");
+  romp::emitReduceSend(Body, "a0");
+  Body.line("p_syncm");
+  Body.line("p_ret");
+  return Head.str() + Tail.str() + Body.str();
+}
+
+/// The machine sectionsSrc() runs on: counters and the memory log on,
+/// one delay fault of up to 40000 cycles (seed 16 draws 32629, longer
+/// than the 16384-cycle wheel, so the delayed delivery waits in the
+/// overflow heap), and interval digests every 512 cycles, or none.
+SimConfig sectionsConfig(bool Digests) {
+  SimConfig Cfg = SimConfig::lbp(4);
+  Cfg.CollectCounters = true;
+  Cfg.CollectMemLog = true;
+  Cfg.DigestInterval = Digests ? 512 : 0;
+  Cfg.Faults.Seed = 16;
+  Cfg.Faults.Delays = 1;
+  Cfg.Faults.MaxDelay = 40000;
+  Cfg.Faults.WindowBegin = 500;
+  Cfg.Faults.WindowEnd = 900;
+  return Cfg;
+}
+
+/// Adds the sensor and the actuator; returns the actuator.
+ActuatorDevice *addSectionsDevices(Machine &M) {
+  M.addDevice(workloads::SensorBase(0), 0x100,
+              std::make_unique<SensorDevice>(std::vector<uint32_t>{7, 8},
+                                             /*Seed=*/3, 20, 400));
+  auto Act = std::make_unique<ActuatorDevice>();
+  ActuatorDevice *Raw = Act.get();
+  M.addDevice(workloads::ActuatorBase, 0x100, std::move(Act));
+  return Raw;
+}
+
+/// The sections program's blob at cycle 1750, checked to hold what the
+/// public state can show: the queued reduction sends, the pending
+/// delayed delivery, the memory log, the digest ring and the actuator
+/// log.
+std::vector<uint8_t> sectionsBlob(bool Digests) {
+  Machine M(sectionsConfig(Digests));
+  M.load(assembleOrDie(sectionsSrc()));
+  ActuatorDevice *Act = addSectionsDevices(M);
+  EXPECT_EQ(M.run(1750), RunStatus::MaxCycles) << M.faultMessage();
+  EXPECT_EQ(M.hartState(0), HartState::WaitingJoin);
+  EXPECT_GE(M.counters().slotHighWater(0), 2u);
+  EXPECT_EQ(M.faultPlan().events().size(), 1u);
+  const FaultEvent &Delay = M.faultPlan().events().at(0);
+  EXPECT_TRUE(Delay.Fired);
+  EXPECT_GT(Delay.Param, 1u << 14);
+  EXPECT_GT(Delay.FiredCycle + Delay.Param, M.cycles() + (1u << 14));
+  EXPECT_FALSE(M.memLog().empty());
+  EXPECT_EQ(M.trace().digestEntries().empty(), !Digests);
+  EXPECT_FALSE(Act->records().empty());
+  std::vector<uint8_t> Blob;
+  M.saveSnapshot(Blob);
+  return Blob;
+}
+
+/// The Snapshot.InterpRoundTrip program.
+std::string interpLoopSrc() {
+  return R"(
+      .text
+  main:
+      li t0, -1
+      li sp, 0x00110000
+      li a0, 0            # i
+      li a1, 200          # n
+      li a2, 0x10000000   # base
+  loop:
+      slli a3, a0, 2
+      add a3, a3, a2
+      sw a0, 0(a3)
+      lw a4, 0(a3)
+      add a5, a5, a4
+      addi a0, a0, 1
+      blt a0, a1, loop
+      p_ret
+  )";
+}
+
+/// Overwrites the 8 bytes at \p At (fewer at the end) with 2^62,
+/// little-endian: a count no blob can back, and a top byte of 0x40 that
+/// no enum reaches.
+void plant(std::vector<uint8_t> &B, size_t At) {
+  constexpr uint64_t Hostile = uint64_t(1) << 62;
+  for (unsigned I = 0; I != 8 && At + I < B.size(); ++I)
+    B[At + I] = static_cast<uint8_t>(Hostile >> (8 * I));
+}
+
+TEST(Snapshot, HostileCountsAndEnumsAreRefusedAtEveryOffset) {
+  // Every count and every enum of a blob whose variable-length sections
+  // are all non-empty meets 2^62 at some offset. Restore must refuse it
+  // with a diagnostic or accept a blob that is in range; it must never
+  // throw, allocate for the count or trip a sanitizer.
+  for (bool Digests : {true, false}) {
+    std::vector<uint8_t> Blob = sectionsBlob(Digests);
+    Machine R(sectionsConfig(Digests));
+    addSectionsDevices(R);
+    size_t Refused = 0;
+    for (size_t At = 0; At != Blob.size(); ++At) {
+      std::vector<uint8_t> Bad = Blob;
+      plant(Bad, At);
+      std::string Err;
+      if (!R.restoreSnapshot(Bad, Err)) {
+        ++Refused;
+        EXPECT_FALSE(Err.empty()) << "offset " << At;
+        continue;
+      }
+      for (unsigned H = 0; H != R.config().numHarts(); ++H)
+        ASSERT_LE(R.hartState(H), HartState::WaitingJoin) << "offset " << At;
+      for (const MachineCheck &MC : R.machineChecks())
+        ASSERT_LE(MC.Kind, CheckKind::SchedulePast) << "offset " << At;
+    }
+    EXPECT_GT(Refused, 0u) << "digests " << Digests;
+    // The restoring machine is still sound: the untouched blob resumes.
+    std::string Err;
+    EXPECT_TRUE(R.restoreSnapshot(Blob, Err)) << Err;
+  }
+
+  assembler::Program Prog = assembleOrDie(interpLoopSrc());
+  Interp First(Prog);
+  ASSERT_EQ(First.run(137), InterpStatus::MaxSteps);
+  std::vector<uint8_t> Blob;
+  First.saveSnapshot(Blob);
+  Interp R(Prog);
+  for (size_t At = 0; At != Blob.size(); ++At) {
+    std::vector<uint8_t> Bad = Blob;
+    plant(Bad, At);
+    std::string Err;
+    if (!R.restoreSnapshot(Bad, Err)) {
+      EXPECT_FALSE(Err.empty()) << "interp offset " << At;
+    }
+  }
+}
+
+/// 64-bit FNV-1a over \p B.
+uint64_t fnv1a(const std::vector<uint8_t> &B) {
+  uint64_t H = 14695981039346656037ull;
+  for (uint8_t X : B) {
+    H ^= X;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+TEST(Snapshot, BlobBytesArePinned) {
+  // Format v6 byte for byte: sizes and hashes of blobs saved at fixed
+  // points, recorded before the serializer moved onto the symmetric
+  // archive. The save -> restore -> save tests compare two blobs of one
+  // build, so only literal values catch a layout change that both
+  // directions make alike. A deliberate format change bumps
+  // SnapshotFormatVersion and re-records these.
+  struct Pin {
+    size_t Size;
+    uint64_t Hash;
+  };
+  auto ExpectPinned = [](const std::vector<uint8_t> &Blob, const Pin &Want,
+                         const char *What) {
+    EXPECT_EQ(Blob.size(), Want.Size) << What;
+    EXPECT_EQ(fnv1a(Blob), Want.Hash) << What;
+  };
+  ExpectPinned(sectionsBlob(true), {14297, 0xafae9700d9e9d09eull},
+               "sections, digests on");
+  ExpectPinned(sectionsBlob(false), {14249, 0xd2ac529dbfdeecfcull},
+               "sections, digests off");
+
+  // The wide machine mid-run. The engines reach the same observable
+  // state by different schedules, and their blobs differ in the
+  // host-side wake bookkeeping.
+  assembler::Program Wide = assembleOrDie(test::wideForkJoinProgram());
+  for (const auto &[FastPath, Want] :
+       {std::pair{false, Pin{165286, 0xa81eee140694eedaull}},
+        std::pair{true, Pin{165286, 0x5841210c6d1711f9ull}}}) {
+    SimConfig Cfg = test::wideConfig();
+    Cfg.FastPath = FastPath;
+    Machine M(Cfg);
+    M.load(Wide);
+    M.run(2500);
+    std::vector<uint8_t> Blob;
+    M.saveSnapshot(Blob);
+    ExpectPinned(Blob, Want, FastPath ? "wide, fast path" : "wide, reference");
+  }
+
+  assembler::Program Loop = assembleOrDie(interpLoopSrc());
+  Interp I(Loop);
+  I.run(137);
+  std::vector<uint8_t> Blob;
+  I.saveSnapshot(Blob);
+  ExpectPinned(Blob, {4420, 0x0516e226f79c1409ull}, "interp");
+}
+
+//===----------------------------------------------------------------------===//
 // Interp checkpointing
 //===----------------------------------------------------------------------===//
 
@@ -785,6 +1026,66 @@ TEST(Snapshot, InterpRoundTrip) {
   std::vector<uint8_t> Bad(Blob.begin(), Blob.begin() + Blob.size() / 3);
   Interp Third(Prog);
   EXPECT_FALSE(Third.restoreSnapshot(Bad, Err));
+}
+
+TEST(Snapshot, InterpRefusesBadPageTables) {
+  // findPage and pageFor binary-search the page overlay by base, so
+  // restore refuses bases that are unaligned, out of order or repeated.
+  // The Interp blob shares the machine blobs' header check too.
+  assembler::Program Prog = assembleOrDie(R"(
+      .text
+  main:
+      li t0, -1
+      li a1, 7
+      li a2, 0x10000000
+      sw a1, 0(a2)
+      li a2, 0x10001000
+      sw a1, 0(a2)
+      p_ret
+  )");
+  Interp I(Prog);
+  ASSERT_EQ(I.run(100), InterpStatus::Exited);
+  std::vector<uint8_t> Blob;
+  I.saveSnapshot(Blob);
+  // The header, pc, registers, step count and mailbox take 180 bytes;
+  // then the page count and each page: its base, 1024 words and the
+  // written-word bitmap.
+  constexpr size_t First = 180 + 8, Second = First + 4 + 4 * 1024 + 8 * 16;
+  ASSERT_EQ(readU64(Blob, 180), 2u);
+  ASSERT_EQ(readU32(Blob, First), 0x10000000u);
+  ASSERT_EQ(readU32(Blob, Second), 0x10001000u);
+  auto ExpectRefused = [&](const std::vector<uint8_t> &B,
+                           const std::string &Want) {
+    Interp R(Prog);
+    std::string Err;
+    EXPECT_FALSE(R.restoreSnapshot(B, Err));
+    EXPECT_NE(Err.find(Want), std::string::npos) << Err;
+  };
+  { // Swapped.
+    std::vector<uint8_t> B = Blob;
+    writeU32(B, First, 0x10001000u);
+    writeU32(B, Second, 0x10000000u);
+    ExpectRefused(B, "interp page bases not strictly ascending");
+  }
+  { // Repeated.
+    std::vector<uint8_t> B = Blob;
+    writeU32(B, Second, 0x10000000u);
+    ExpectRefused(B, "interp page bases not strictly ascending");
+  }
+  { // Not page-aligned.
+    std::vector<uint8_t> B = Blob;
+    writeU32(B, First, 0x10000004u);
+    ExpectRefused(B, "interp page base not page-aligned");
+  }
+  { // A version 5 header.
+    std::vector<uint8_t> B = Blob;
+    writeU32(B, 4, 5);
+    ExpectRefused(B, "format version 5 (expected 6)");
+  }
+  Interp R(Prog);
+  std::string Err;
+  EXPECT_TRUE(R.restoreSnapshot(Blob, Err)) << Err;
+  EXPECT_EQ(R.readWord(0x10001000), 7u);
 }
 
 } // namespace
