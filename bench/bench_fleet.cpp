@@ -22,7 +22,8 @@
 //
 // Results land in BENCH_fleet.json, with the host block of BenchUtil.h,
 // so the cost trajectory is recorded per commit. Exit nonzero on any
-// identity violation or failed run.
+// identity violation or failed run; the output file is deleted first,
+// so such a run leaves none behind.
 //
 //===----------------------------------------------------------------------===//
 
@@ -230,6 +231,8 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
+  // No stale result may survive a run that exits before writing one.
+  std::remove(OutPath.c_str());
 
   std::vector<SnapshotCost> Snaps;
   for (unsigned Cores : Quick ? std::vector<unsigned>{4}

@@ -390,9 +390,10 @@ WorkloadResult benchMatMul(const Options &Opt, unsigned Harts,
 /// Steady-state allocation count: runs \p Prog to its midpoint (every
 /// vector in the machine reaches its plateau capacity during the first
 /// rounds), then counts heap allocations over the rest of the run. The
-/// engines promise zero — the delivery wheel, DueBuf, overflow heap,
-/// trace, counter sink and digest ring are all capacity-reusing flat
-/// structures.
+/// engines promise zero: the delivery wheel's node pool grows only to
+/// the peak number of in-flight deliveries and then reuses freed nodes,
+/// and DueBuf, the overflow heap, the trace, the counter sink and the
+/// digest ring are capacity-reusing flat structures.
 uint64_t steadyStateAllocs(const assembler::Program &Prog,
                            const sim::SimConfig &Cfg, unsigned Harts) {
   // Full run once to learn the total cycle count.

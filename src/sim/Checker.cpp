@@ -230,11 +230,13 @@ void Checker::sweep(Machine &M) {
 
   // Delivery-wheel audit (amortized: a full wheel recount every 64
   // sweeps): the incremental pending counter must match the wheel plus
-  // the far-future overflow map.
+  // the far-future overflow heap. The recount walks the busy slots'
+  // lists; it never trusts the machine's own WheelCount.
   if (SweepCount % 64 == 0) {
     uint64_t OnWheel = M.Overflow.size();
-    for (const std::vector<Delivery> &Slot : M.Wheel)
-      OnWheel += Slot.size();
+    M.forEachBusySlot([&](uint64_t Slot) {
+      M.forEachInSlot(Slot, [&](const Delivery &) { ++OnWheel; });
+    });
     if (OnWheel != PendingDeliveries)
       report(M, CheckKind::WheelImbalance, 0,
              formatString("delivery wheel holds %llu entries but %llu "

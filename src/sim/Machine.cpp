@@ -28,7 +28,7 @@ using namespace lbp::isa;
 Machine::Machine(const SimConfig &Config)
     : Cfg(Config), Mem(Config), Net(Config),
       FPlan(Config.Faults, Config.NumCores), Cores(Config.NumCores),
-      Wheel(WheelSize) {
+      WheelSlots(std::make_unique_for_overwrite<WheelSlot[]>(WheelSize)) {
   Tr.setRecording(Cfg.RecordTrace);
   Tr.setLineCap(Cfg.TraceLineCap);
   Tr.configureDigests(Cfg.DigestInterval, Cfg.DigestRingCap);
@@ -46,11 +46,9 @@ Machine::Machine(const SimConfig &Config)
   // Stall-cause classification observes every core-cycle (including the
   // idle ones), so it forces the reference scheduling loop.
   FastRun = Cfg.FastPath && !Cfg.CollectStallStats;
-  // Pre-size the delivery plumbing so the steady state never allocates:
-  // a few entries per wheel slot covers the common fan-in, and slots
-  // that burst beyond it keep their grown capacity across laps.
-  for (std::vector<Delivery> &Slot : Wheel)
-    Slot.reserve(4);
+  // Pre-size the delivery plumbing for a typical fan-in; both only ever
+  // grow to the run's peak and are then reused.
+  WheelPool.reserve(64);
   DueBuf.reserve(64);
 }
 
@@ -229,20 +227,54 @@ void Machine::schedule(uint64_t At, Delivery D) {
     std::push_heap(Overflow.begin(), Overflow.end(), overflowLater);
     return;
   }
-  Wheel[At % WheelSize].push_back(D);
+  wheelAppend(At % WheelSize, D);
+}
+
+void Machine::wheelAppend(uint64_t Slot, const Delivery &D) {
+  uint32_t N = FreeNode;
+  if (N != NoNode) {
+    FreeNode = WheelPool[N].Next;
+    WheelPool[N] = {D, NoNode};
+  } else {
+    N = static_cast<uint32_t>(WheelPool.size());
+    WheelPool.push_back({D, NoNode});
+  }
+  WheelSlot &S = WheelSlots[Slot];
+  uint64_t &Word = WheelBusy[Slot / 64];
+  uint64_t Bit = uint64_t(1) << (Slot % 64);
+  if (Word & Bit)
+    WheelPool[S.Tail].Next = N;
+  else
+    S.Head = N;
+  S.Tail = N;
+  Word |= Bit;
   ++WheelCount;
 }
 
+void Machine::clearWheel() {
+  WheelPool.clear();
+  FreeNode = NoNode;
+  WheelBusy.fill(0);
+  WheelCount = 0;
+}
+
 void Machine::collectDue() {
-  // The due wheel slot is swapped into a reused staging buffer (no
-  // per-cycle allocation, and the slot keeps its grown capacity for the
-  // next lap); due far-future deliveries append behind it, preserving
-  // the wheel-before-overflow arrival order of the reference loop.
+  // The due slot's deliveries are copied, in arrival order, into a
+  // reused staging buffer, and its whole list joins the free list in one
+  // splice. Due far-future deliveries append behind them, preserving the
+  // wheel-before-overflow arrival order of the reference loop.
   DueBuf.clear();
-  std::vector<Delivery> &Slot = Wheel[Cycle % WheelSize];
-  if (!Slot.empty()) {
-    WheelCount -= Slot.size();
-    std::swap(DueBuf, Slot);
+  uint64_t Slot = Cycle % WheelSize;
+  uint64_t &Word = WheelBusy[Slot / 64];
+  uint64_t Bit = uint64_t(1) << (Slot % 64);
+  if (Word & Bit) {
+    Word &= ~Bit;
+    const WheelSlot &S = WheelSlots[Slot];
+    for (uint32_t N = S.Head; N != NoNode; N = WheelPool[N].Next)
+      DueBuf.push_back(WheelPool[N].D);
+    WheelCount -= DueBuf.size();
+    WheelPool[S.Tail].Next = FreeNode;
+    FreeNode = S.Head;
   }
   while (!Overflow.empty() && Overflow.front().At == Cycle) {
     DueBuf.push_back(Overflow.front().D);
@@ -1439,13 +1471,23 @@ uint64_t Machine::nextDeliveryCycle() const {
   uint64_t Next = Overflow.empty() ? UINT64_MAX : Overflow.front().At;
   if (WheelCount != 0) {
     // Every wheel entry lands within WheelSize cycles of now, so the
-    // first populated slot on the walk forward is the earliest one.
-    for (uint64_t K = 1; K <= WheelSize; ++K) {
-      if (!Wheel[(Cycle + K) % WheelSize].empty()) {
-        if (Cycle + K < Next)
-          Next = Cycle + K;
+    // first busy slot on the walk forward from the next cycle's slot,
+    // wrapping around, is the earliest one. The walk ends back in the
+    // starting word to see the slots before the start.
+    constexpr size_t Words = WheelSize / 64;
+    const uint64_t From = (Cycle + 1) % WheelSize;
+    size_t W = From / 64;
+    uint64_t Bits = WheelBusy[W] & (~uint64_t(0) << (From % 64));
+    for (size_t Step = 0; Step <= Words; ++Step) {
+      if (Bits != 0) {
+        uint64_t Slot = W * 64 + __builtin_ctzll(Bits);
+        uint64_t At = Cycle + 1 + (Slot - From) % WheelSize;
+        if (At < Next)
+          Next = At;
         break;
       }
+      W = (W + 1) % Words;
+      Bits = WheelBusy[W];
     }
   }
   return Next;
@@ -1640,9 +1682,9 @@ void Machine::armPerturb() {
 
 unsigned Machine::pendingDeliveriesFor(unsigned HartId) const {
   unsigned N = 0;
-  for (const std::vector<Delivery> &Slot : Wheel)
-    for (const Delivery &D : Slot)
-      N += D.HartId == HartId;
+  forEachBusySlot([&](uint64_t Slot) {
+    forEachInSlot(Slot, [&](const Delivery &D) { N += D.HartId == HartId; });
+  });
   for (const OverflowEntry &Entry : Overflow)
     N += Entry.D.HartId == HartId;
   return N;

@@ -26,6 +26,7 @@
 #include "sim/Memory.h"
 #include "sim/Trace.h"
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -393,13 +394,59 @@ private:
   std::unique_ptr<obs::PerfCounters> Obs;
   EngineKind Engine = EngineKind::Reference;
 
-  // Delivery wheel with a far-future overflow heap. The overflow used
-  // to be a std::multimap; the flat min-heap keeps the hot path free of
-  // node allocations and pointer chasing. Seq preserves the multimap's
-  // insertion order among equal arrival cycles, which the event stream
-  // depends on.
+  // Delivery wheel with a far-future overflow heap (docs/PERFORMANCE.md,
+  // "Delivery wheel"). A delivery due at At, fewer than WheelSize cycles
+  // from now, waits in slot At % WheelSize; each slot is a list of pool
+  // nodes in insertion order, the order collectDue() hands them on.
+  // Readers that look at every slot walk the busy bits, not the slots.
   static constexpr uint64_t WheelSize = 1 << 14;
-  std::vector<std::vector<Delivery>> Wheel;
+  static constexpr uint32_t NoNode = UINT32_MAX;
+  /// A delivery on the wheel and the next node of its slot, or of the
+  /// free list; NoNode ends either list.
+  struct WheelNode {
+    Delivery D;
+    uint32_t Next;
+  };
+  /// Every node allocated so far. Freed nodes chain from FreeNode and
+  /// are reused before the pool grows, so it grows only up to the peak
+  /// number of deliveries on the wheel.
+  std::vector<WheelNode> WheelPool;
+  uint32_t FreeNode = NoNode;
+  /// A slot's first and last node. Valid only while the slot's busy bit
+  /// is set, so the array is never initialized and construction touches
+  /// none of it.
+  struct WheelSlot {
+    uint32_t Head;
+    uint32_t Tail;
+  };
+  std::unique_ptr<WheelSlot[]> WheelSlots;
+  /// One bit per slot, set while the slot holds a delivery.
+  std::array<uint64_t, WheelSize / 64> WheelBusy{};
+  /// Entries currently on the wheel (excluding Overflow); lets the fast
+  /// path skip the busy-bit walk when the wheel is empty.
+  size_t WheelCount = 0;
+  /// Appends \p D to wheel slot \p Slot (schedule and snapshot restore).
+  void wheelAppend(uint64_t Slot, const Delivery &D);
+  /// Empties the wheel (snapshot restore).
+  void clearWheel();
+  /// Calls \p F(Slot) for every busy wheel slot, in ascending order.
+  template <class Fn> void forEachBusySlot(Fn F) const {
+    for (size_t W = 0; W != WheelBusy.size(); ++W)
+      for (uint64_t Bits = WheelBusy[W]; Bits != 0; Bits &= Bits - 1)
+        F(W * 64 + __builtin_ctzll(Bits));
+  }
+  /// Calls \p F(D) for each delivery in busy slot \p Slot, in arrival
+  /// order.
+  template <class Fn> void forEachInSlot(uint64_t Slot, Fn F) const {
+    for (uint32_t N = WheelSlots[Slot].Head; N != NoNode;
+         N = WheelPool[N].Next)
+      F(WheelPool[N].D);
+  }
+
+  // The far-future overflow heap. It used to be a std::multimap; the
+  // flat min-heap keeps the hot path free of node allocations and
+  // pointer chasing. Seq preserves the multimap's insertion order among
+  // equal arrival cycles, which the event stream depends on.
   struct OverflowEntry {
     uint64_t At;
     uint64_t Seq;
@@ -413,12 +460,10 @@ private:
   /// Min-heap on (At, Seq) via std::push_heap/pop_heap.
   std::vector<OverflowEntry> Overflow;
   uint64_t OverflowSeq = 0;
-  /// Entries currently on the wheel (excluding Overflow); lets the fast
-  /// path and the checker audit skip full wheel scans when it is empty.
-  size_t WheelCount = 0;
-  /// Per-cycle delivery staging buffer: run() swaps the due wheel slot
-  /// into it instead of draining in place, so slot capacity is reused
-  /// across laps instead of reallocated.
+  /// Per-cycle delivery staging buffer: collectDue() copies the due
+  /// slot's deliveries into it and frees their nodes, so a delivery may
+  /// schedule more while the buffer is walked. Its capacity is reused
+  /// from cycle to cycle.
   std::vector<Delivery> DueBuf;
 
   /// Effective fast-path switch for this run: SimConfig::FastPath minus

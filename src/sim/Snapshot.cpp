@@ -275,36 +275,44 @@ struct SnapshotAccess {
       A.u64(C);
   }
 
-  /// The delivery wheel, sparse: u64 count of non-empty slots, then per
-  /// slot its index and deliveries. The index is the absolute-cycle
-  /// residue; since Cycle is restored too, verbatim slot contents land
-  /// exactly where collectDue() will look.
+  /// The delivery wheel, sparse: u64 count of busy slots, then per slot
+  /// (ascending) its index and its deliveries in arrival order. The
+  /// index is the absolute-cycle residue; since Cycle is restored too,
+  /// each slot's list lands exactly where collectDue() will look.
+  /// Restore refuses slot indices that do not strictly ascend, so no
+  /// slot can be listed twice.
   template <class Ar, class M> static void wheel(Ar &A, M &X) {
     unsigned NumHarts = X.Cfg.numHarts();
-    auto Deliveries = [NumHarts](auto &A, auto &S) {
-      A.seq(S, [NumHarts](auto &A, auto &D) { delivery(A, D, NumHarts); });
+    std::vector<Delivery> Slot;
+    auto Deliveries = [&](auto &A) {
+      A.seq(Slot, [NumHarts](auto &A, auto &D) { delivery(A, D, NumHarts); });
     };
     if constexpr (Ar::Loading) {
-      for (auto &S : X.Wheel)
-        S.clear();
-      uint64_t NonEmpty = A.count(16); // slot index + delivery count
-      for (uint64_t I = 0; I != NonEmpty; ++I) {
+      X.clearWheel();
+      uint64_t Busy = A.count(16); // slot index + delivery count
+      for (uint64_t I = 0, Prev = 0; I != Busy; ++I) {
         uint64_t S = 0;
         A.u64(S);
         if (!A.check(S < Machine::WheelSize,
-                     "wheel slot index out of range"))
+                     "wheel slot index out of range") ||
+            !A.check(I == 0 || S > Prev,
+                     "wheel slot indices not strictly ascending"))
           return;
-        Deliveries(A, X.Wheel[S]);
+        Prev = S;
+        Deliveries(A);
+        for (const Delivery &D : Slot)
+          X.wheelAppend(S, D);
       }
     } else {
-      A.u64(static_cast<uint64_t>(
-          std::count_if(X.Wheel.begin(), X.Wheel.end(),
-                        [](const auto &S) { return !S.empty(); })));
-      for (uint64_t S = 0; S != Machine::WheelSize; ++S)
-        if (!X.Wheel[S].empty()) {
-          A.u64(S);
-          Deliveries(A, X.Wheel[S]);
-        }
+      uint64_t Busy = 0;
+      X.forEachBusySlot([&](uint64_t) { ++Busy; });
+      A.u64(Busy);
+      X.forEachBusySlot([&](uint64_t S) {
+        Slot.clear();
+        X.forEachInSlot(S, [&](const Delivery &D) { Slot.push_back(D); });
+        A.u64(S);
+        Deliveries(A);
+      });
     }
   }
 
@@ -432,7 +440,11 @@ struct SnapshotAccess {
       delivery(A, E.D, NumHarts);
     });
     A.u64(X.OverflowSeq);
-    A.u64(X.WheelCount);
+    // Restore rebuilt the wheel's count while reading its slots.
+    uint64_t WheelCount = X.WheelCount;
+    A.u64(WheelCount);
+    A.check(WheelCount == X.WheelCount,
+            "wheel count does not match the deliveries on the wheel");
 
     A.u64(X.Cycle);
     A.u64(X.LastProgress);

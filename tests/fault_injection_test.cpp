@@ -334,6 +334,54 @@ TEST(FaultInjection, LivelockReportNamesTheStuckHart) {
   EXPECT_NE(Msg.find("slot 3"), std::string::npos) << Msg;
 }
 
+// The wait report counts each hart's deliveries still in flight,
+// wherever they wait. One hart's load is answered by an rb-fill that a
+// delay fault holds back longer than the 1000-cycle progress guard:
+// 4911 cycles (seed 23), which keeps it on the 16,384-slot wheel, or
+// 32629 cycles (seed 16), which puts it in the far-future overflow
+// heap. The guard fires first either way, on both engines alike.
+TEST(FaultInjection, LivelockReportCountsDeliveriesOnWheelAndOverflow) {
+  // The trailing loop keeps fetch from running into zeroed memory.
+  assembler::AsmResult R = assembler::assemble(
+      "main:\n  li t1, 0x20000000\n  lw a0, 0(t1)\n  addi a0, a0, 1\n"
+      "hang:\n  j hang\n");
+  ASSERT_TRUE(R.succeeded()) << R.errorText();
+  struct Case {
+    uint64_t Seed;
+    unsigned MaxDelay;
+    uint32_t Delay;
+  };
+  for (const Case &C : {Case{23, 8000, 4911}, Case{16, 40000, 32629}}) {
+    std::string Reports[2];
+    for (bool FastPath : {false, true}) {
+      SimConfig Cfg = SimConfig::lbp(1);
+      Cfg.FastPath = FastPath;
+      Cfg.ProgressGuard = 1000;
+      Cfg.Faults.Seed = C.Seed;
+      Cfg.Faults.Delays = 1;
+      Cfg.Faults.MaxDelay = C.MaxDelay;
+      Cfg.Faults.WindowBegin = 1;
+      Cfg.Faults.WindowEnd = 2;
+      Machine M(Cfg);
+      const FaultEvent &Delay = M.faultPlan().events().at(0);
+      ASSERT_EQ(Delay.ClassMask, FaultClassRbFill);
+      ASSERT_EQ(Delay.Param, C.Delay);
+      M.load(R.Prog);
+      ASSERT_EQ(M.run(100000), RunStatus::Livelock) << M.faultMessage();
+      EXPECT_TRUE(Delay.Fired);
+      const std::string &Msg = M.faultMessage();
+      EXPECT_NE(Msg.find("hart 0 (core 0): state=running"), std::string::npos)
+          << Msg;
+      EXPECT_NE(Msg.find("pending-deliveries=1 — `lw a0, 0(t1)` awaiting a "
+                         "memory/link response"),
+                std::string::npos)
+          << Msg;
+      Reports[FastPath] = Msg;
+    }
+    EXPECT_EQ(Reports[0], Reports[1]) << "delay " << C.Delay;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // FastPath interaction: the fast engine (SimConfig::FastPath) skips
 // quiescent cycles and sleeping cores, but faults, machine checks, the

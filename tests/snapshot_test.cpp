@@ -974,6 +974,229 @@ TEST(Snapshot, BlobBytesArePinned) {
 }
 
 //===----------------------------------------------------------------------===//
+// The delivery wheel section
+//===----------------------------------------------------------------------===//
+
+/// Encoded sizes of a delivery and of an overflow-heap entry (its
+/// arrival cycle and sequence number, then the delivery).
+constexpr size_t DeliveryBytes = 29;
+constexpr size_t OverflowEntryBytes = 16 + DeliveryBytes;
+
+/// Where the wheel section and the counters that account for it sit in
+/// a machine blob.
+struct WheelLayout {
+  std::vector<size_t> SlotIndex; ///< Each busy slot's u64 index.
+  uint64_t Deliveries = 0;       ///< Deliveries the section holds.
+  size_t WheelCount = 0;         ///< The machine's u64 WheelCount.
+  size_t PendingDeliveries = 0;  ///< The checker's u64 pending count.
+};
+
+/// Reads the wheel section at \p At: the busy-slot count, each slot's
+/// ascending index and deliveries, then the overflow heap, its sequence
+/// counter and a WheelCount equal to the deliveries read, which the
+/// machine's cycle \p Cycle must follow. False if the bytes there are
+/// not all of that.
+bool readWheelAt(const std::vector<uint8_t> &B, size_t At, uint64_t Cycle,
+                 WheelLayout &L) {
+  auto Fits = [&](size_t N) { return At <= B.size() && B.size() - At >= N; };
+  if (!Fits(8))
+    return false;
+  uint64_t Busy = readU64(B, At);
+  if (Busy == 0 || Busy > 1u << 14)
+    return false;
+  L = WheelLayout();
+  At += 8;
+  for (uint64_t I = 0; I != Busy; ++I) {
+    if (!Fits(16))
+      return false;
+    uint64_t Slot = readU64(B, At), N = readU64(B, At + 8);
+    if (Slot >= 1u << 14 || N == 0 || N > B.size() ||
+        (I != 0 && Slot <= readU64(B, L.SlotIndex.back())))
+      return false;
+    L.SlotIndex.push_back(At);
+    L.Deliveries += N;
+    At += 16 + N * DeliveryBytes;
+  }
+  if (!Fits(8) || readU64(B, At) > B.size())
+    return false;
+  At += 8 + readU64(B, At) * OverflowEntryBytes + 8; // heap, OverflowSeq
+  if (!Fits(16) || readU64(B, At) != L.Deliveries ||
+      readU64(B, At + 8) != Cycle)
+    return false;
+  L.WheelCount = At;
+  return true;
+}
+
+/// Finds the one offset of \p M's blob \p B that reads as its wheel
+/// section, then walks the machine fields that follow the WheelCount
+/// (SnapshotAccess::machine in sim/Snapshot.cpp) to the checker's
+/// pending-delivery count. False unless exactly one offset reads as a
+/// wheel section and the walk stays inside the blob.
+bool locateWheel(const std::vector<uint8_t> &B, const Machine &M,
+                 WheelLayout &Found) {
+  WheelLayout L;
+  unsigned Matches = 0;
+  for (size_t At = 0; At != B.size(); ++At)
+    if (readWheelAt(B, At, M.cycles(), L)) {
+      Found = L;
+      ++Matches;
+    }
+  if (Matches != 1)
+    return false;
+  size_t At = Found.WheelCount;
+  auto Skip = [&](uint64_t N) {
+    At = N <= B.size() - At ? At + N : B.size();
+    return At + 8 <= B.size();
+  };
+  // WheelCount, Cycle, LastProgress, Status and Halted; FaultMsg;
+  // TotalRetired, JoinEpoch, Hart0InTeam, RemoteAccesses and
+  // LocalAccesses; then the stall tallies, the memory log and the fault
+  // plan cursor, each a u64 count of fixed-size entries.
+  if (!Skip(8 + 8 + 8 + 1 + 1) || !Skip(8 + readU64(B, At)) ||
+      !Skip(8 + 8 + 1 + 8 + 8) || !Skip(8 + 8 * readU64(B, At)) ||
+      !Skip(8 + 25 * readU64(B, At)) || !Skip(8 + 9 * readU64(B, At)))
+    return false;
+  uint64_t Checks = readU64(B, At);
+  if (!Skip(8))
+    return false;
+  for (uint64_t I = 0; I != Checks; ++I) // cycle, core, hart, kind, message
+    if (!Skip(8 + 4 + 4 + 1) || !Skip(8 + readU64(B, At)))
+      return false;
+  Found.PendingDeliveries = At;
+  return true;
+}
+
+void writeU64(std::vector<uint8_t> &B, size_t At, uint64_t V) {
+  for (unsigned I = 0; I != 8; ++I)
+    B[At + I] = static_cast<uint8_t>(V >> (8 * I));
+}
+
+/// Expects a 4-core machine to refuse \p Blob with a diagnostic
+/// containing \p Want.
+void expectWheelRejected(const std::vector<uint8_t> &Blob,
+                         const std::string &Want) {
+  Machine R(SimConfig::lbp(4));
+  std::string Err;
+  EXPECT_FALSE(R.restoreSnapshot(Blob, Err));
+  EXPECT_NE(Err.find(Want), std::string::npos) << Err;
+}
+
+/// A 4-core phases blob saved at \p Cycle, and its wheel layout.
+std::vector<uint8_t> phasesWheelBlob(uint64_t Cycle, WheelLayout &L) {
+  Machine M(SimConfig::lbp(4));
+  M.load(assembleOrDie(phasesSrc()));
+  EXPECT_EQ(M.run(Cycle), RunStatus::MaxCycles);
+  std::vector<uint8_t> Blob;
+  M.saveSnapshot(Blob);
+  EXPECT_TRUE(locateWheel(Blob, M, L));
+  return Blob;
+}
+
+TEST(Snapshot, RejectsWheelSlotsNotStrictlyAscending) {
+  // A slot listed twice used to replace the deliveries restored for it
+  // first. Saved blobs list busy slots in ascending order, so restore
+  // accepts no other. At cycle 379, three slots are busy.
+  WheelLayout L;
+  std::vector<uint8_t> Blob = phasesWheelBlob(379, L);
+  ASSERT_GE(L.SlotIndex.size(), 2u);
+  uint64_t First = readU64(Blob, L.SlotIndex[0]);
+  uint64_t Second = readU64(Blob, L.SlotIndex[1]);
+  { // Swapped.
+    std::vector<uint8_t> B = Blob;
+    writeU64(B, L.SlotIndex[0], Second);
+    writeU64(B, L.SlotIndex[1], First);
+    expectWheelRejected(B, "wheel slot indices not strictly ascending");
+  }
+  { // Repeated.
+    std::vector<uint8_t> B = Blob;
+    writeU64(B, L.SlotIndex[1], First);
+    expectWheelRejected(B, "wheel slot indices not strictly ascending");
+  }
+}
+
+TEST(Snapshot, RejectsWheelCountThatDisagreesWithTheSection) {
+  // A wrong count used to restore without complaint: rewritten from 1 to
+  // 0 at cycle 421, the resumed run ended in a livelock a million cycles
+  // later instead of exiting at cycle 3860.
+  WheelLayout L;
+  std::vector<uint8_t> Blob = phasesWheelBlob(421, L);
+  ASSERT_EQ(L.Deliveries, 1u);
+  ASSERT_EQ(readU64(Blob, L.WheelCount), 1u);
+  for (uint64_t Count : {0, 2}) {
+    std::vector<uint8_t> B = Blob;
+    writeU64(B, L.WheelCount, Count);
+    expectWheelRejected(
+        B, "wheel count does not match the deliveries on the wheel");
+  }
+}
+
+/// One hart loads a word, then exits once the load's value is back.
+std::string delayedLoadSrc() {
+  return "main:\n  li t1, 0x20000000\n  lw a0, 0(t1)\n  addi a0, a0, 1\n"
+         "  p_ret\nhang:\n  j hang\n";
+}
+
+TEST(Snapshot, WheelAuditFiresAtTheSameCycleOnBothEngines) {
+  // The checker recounts the wheel every 64th sweep (every 4096 cycles
+  // at the default interval). A blob whose checker accounts one delivery
+  // more than its wheel holds must fail that audit, at the same cycle
+  // and with the same message on both engines. The load's rb-fill is
+  // delayed by 4911 cycles (seed 23), so the machine sits idle across
+  // the audit at cycle 4096: the fast path would skip it unless its
+  // sweep-concern clamp stops the jump there.
+  SimConfig Cfg = SimConfig::lbp(1);
+  Cfg.Faults.Seed = 23;
+  Cfg.Faults.Delays = 1;
+  Cfg.Faults.MaxDelay = 8000;
+  Cfg.Faults.WindowBegin = 1;
+  Cfg.Faults.WindowEnd = 2;
+  assembler::Program Prog = assembleOrDie(delayedLoadSrc());
+  Machine M(Cfg);
+  M.load(Prog);
+  ASSERT_EQ(M.faultPlan().events().at(0).Param, 4911u);
+  ASSERT_EQ(M.faultPlan().events().at(0).ClassMask, FaultClassRbFill);
+  ASSERT_EQ(M.run(100), RunStatus::MaxCycles) << M.faultMessage();
+  std::vector<uint8_t> Blob;
+  M.saveSnapshot(Blob);
+  WheelLayout L;
+  ASSERT_TRUE(locateWheel(Blob, M, L));
+  ASSERT_EQ(L.Deliveries, 1u);
+  ASSERT_EQ(readU64(Blob, L.PendingDeliveries), 1u);
+
+  // Untouched, the run passes the audit and exits after the delay.
+  for (const EngineCell &C : Cells) {
+    Cfg.FastPath = C.FastPath;
+    Machine R(Cfg);
+    std::string Err;
+    ASSERT_TRUE(R.restoreSnapshot(Blob, Err)) << Err;
+    EXPECT_EQ(R.run(), RunStatus::Exited) << C.Name << ": " << R.faultMessage();
+    EXPECT_GT(R.cycles(), 4096u) << C.Name;
+  }
+
+  writeU64(Blob, L.PendingDeliveries, 2);
+  std::vector<std::pair<MachineCheck, std::string>> Reports;
+  for (const EngineCell &C : Cells) {
+    Cfg.FastPath = C.FastPath;
+    Machine R(Cfg);
+    std::string Err;
+    ASSERT_TRUE(R.restoreSnapshot(Blob, Err)) << Err;
+    EXPECT_EQ(R.run(), RunStatus::Fault) << C.Name;
+    ASSERT_EQ(R.machineChecks().size(), 1u) << C.Name;
+    Reports.emplace_back(R.machineChecks()[0], R.faultMessage());
+    EXPECT_EQ(R.cycles(), 4096u) << C.Name;
+  }
+  const MachineCheck &Ref = Reports[0].first, &Fast = Reports[1].first;
+  EXPECT_EQ(Ref.Kind, CheckKind::WheelImbalance);
+  EXPECT_EQ(Ref.Cycle, 4096u);
+  EXPECT_EQ(Ref.Message,
+            "delivery wheel holds 1 entries but 2 are accounted");
+  EXPECT_EQ(Fast.Kind, Ref.Kind);
+  EXPECT_EQ(Fast.Cycle, Ref.Cycle);
+  EXPECT_EQ(Fast.Message, Ref.Message);
+  EXPECT_EQ(Reports[1].second, Reports[0].second);
+}
+
+//===----------------------------------------------------------------------===//
 // Interp checkpointing
 //===----------------------------------------------------------------------===//
 
