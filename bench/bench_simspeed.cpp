@@ -171,7 +171,6 @@ struct EngineResult {
   double Mips = 0.0;
   long PeakRssKb = 0;
   bool Identical = true; ///< Fingerprint matches the first cell's.
-  std::string EngineUsed; ///< Machine::engineName() after the run.
 };
 
 struct WorkloadResult {
@@ -241,12 +240,10 @@ EngineResult timedRun(const assembler::Program &Prog, sim::SimConfig Cfg,
     }
     Verify(M);
     Fingerprint Fp = {S, M.cycles(), M.retired(), M.traceHash()};
-    if (Times.empty()) {
+    if (Times.empty())
       R.Fp = Fp;
-      R.EngineUsed = M.engineName();
-    } else if (!(Fp == R.Fp)) {
+    else if (!(Fp == R.Fp))
       die("a repeated bench run changed its fingerprint");
-    }
     Times.push_back(std::chrono::duration<double>(T1 - T0).count());
   } while (Times.front() < ShortCellSeconds && Times.size() < ShortCellReps);
 
@@ -558,11 +555,10 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
                    "\"min_seconds\": %.6f, \"host_seconds\": %.6f, "
                    "\"spread_pct\": %.1f, "
                    "\"cycles_per_sec\": %.1f, \"mips\": %.3f, "
-                   "\"peak_rss_kb\": %ld, \"identical\": %s, "
-                   "\"engine_used\": \"%s\"}%s\n",
+                   "\"peak_rss_kb\": %ld, \"identical\": %s}%s\n",
                    E.Engine.c_str(), E.Reps, E.MinSeconds, E.HostSeconds,
                    E.SpreadPct, E.CyclesPerSec, E.Mips, E.PeakRssKb,
-                   E.Identical ? "true" : "false", E.EngineUsed.c_str(),
+                   E.Identical ? "true" : "false",
                    J + 1 == W.Engines.size() ? "" : ",");
     }
     std::fprintf(F, "      ],\n");

@@ -10,8 +10,9 @@
 //
 //   ./run_asm program.s [cores] [--trace] [--fast] [--disasm]
 //
-// With --trace, the recorded event stream is printed ("at cycle C,
-// ..."), the style of the paper's Section 1 example statements. With
+// With --trace, every event is printed as it happens, one JSON line
+// each ("at cycle C, ..."), the style of the paper's Section 1 example
+// statements, ahead of the summary. With
 // --fast the program runs on the sequential reference interpreter (the
 // paper's referential order) instead of the cycle model. --disasm dumps
 // the assembled text section and exits.
@@ -20,12 +21,14 @@
 
 #include "asm/Assembler.h"
 #include "isa/Disasm.h"
+#include "obs/Perfetto.h"
 #include "sim/Interp.h"
 #include "sim/Machine.h"
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 using namespace lbp;
@@ -94,9 +97,10 @@ int main(int argc, char **argv) {
     return S == InterpStatus::Exited ? 0 : 1;
   }
 
-  SimConfig Cfg = SimConfig::lbp(Cores);
-  Cfg.RecordTrace = TraceOn;
-  Machine M(Cfg);
+  Machine M(SimConfig::lbp(Cores));
+  obs::JsonlSink Trace(std::cout);
+  if (TraceOn)
+    M.addTraceSink(&Trace);
   M.load(R.Prog);
   RunStatus S = M.run(1000000000ull);
 
@@ -114,9 +118,5 @@ int main(int argc, char **argv) {
     std::printf("%s\n", M.faultMessage().c_str());
   std::printf("trace hash: %016llx\n",
               static_cast<unsigned long long>(M.traceHash()));
-
-  if (TraceOn)
-    for (const std::string &Line : M.trace().lines())
-      std::printf("%s\n", Line.c_str());
   return S == RunStatus::Exited ? 0 : 1;
 }

@@ -118,7 +118,6 @@ template <class Ar, class R> void resultRecord(Ar &A, R &Res) {
   A.u64(Res.TraceHash);
   A.u32(Res.FaultsFired);
   A.bytes(Res.Message);
-  A.bytes(Res.Engine);
   A.u8(Res.ResumedFromCheckpoint);
   A.finish(ResultTrailer, "truncated or trailing-garbage record");
 }
@@ -203,7 +202,6 @@ bool writeFileAtomic(const std::string &Path,
   R.TraceHash = M.traceHash();
   R.FaultsFired = M.faultPlan().firedCount();
   R.Message = M.faultMessage();
-  R.Engine = M.engineName();
   R.ResumedFromCheckpoint = Resumed;
   ArchiveWriter W;
   resultRecord(W, std::as_const(R));
@@ -455,6 +453,7 @@ lbp::fleet::runCampaign(const std::vector<assembler::Program> &Images,
       RunResult Parsed;
       if (CleanExit && parseResult(W.Buf, Parsed)) {
         Parsed.Name = Result.Runs[RunIdx].Name;
+        Parsed.Engine = sim::engineName(Specs[RunIdx].Cfg);
         Parsed.Attempts = Result.Runs[RunIdx].Attempts;
         Parsed.Attempts.push_back(AttemptOutcome::Completed);
         Result.Runs[RunIdx] = std::move(Parsed);

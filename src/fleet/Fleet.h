@@ -96,7 +96,7 @@ struct RunResult {
   uint64_t TraceHash = 0;
   /// Fault message or the livelock per-hart wait report.
   std::string Message;
-  std::string Engine; ///< Engine the final attempt ran on.
+  std::string Engine; ///< Engine the run's config selects.
   unsigned FaultsFired = 0;
   std::vector<AttemptOutcome> Attempts;
   bool ResumedFromCheckpoint = false;

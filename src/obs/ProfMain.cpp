@@ -11,8 +11,8 @@
 /// counters on, and reports.
 ///
 ///   lbp_prof [options] file.c | file.s | -
-///     --workload NAME      phases | matmul | pipeline | dma |
-///                          sensor-fusion (instead of a file)
+///     --workload NAME      phases | matmul | pipeline (instead of a
+///                          file)
 ///     --cores N            machine size, 1..64 (default 4)
 ///     --engine E           reference | fast (default fast)
 ///     --max-cycles N       cycle budget, >= 1 (default 100000000)
@@ -41,23 +41,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "asm/Assembler.h"
-#include "frontend/Compiler.h"
 #include "obs/Perfetto.h"
 #include "obs/Report.h"
+#include "obs/ToolInput.h"
 #include "sim/Machine.h"
 #include "support/StringUtils.h"
-#include "workloads/Dma.h"
-#include "workloads/MatMul.h"
-#include "workloads/Phases.h"
-#include "workloads/Pipeline.h"
-#include "workloads/SensorFusion.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 using namespace lbp;
@@ -85,67 +77,15 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: lbp_prof [options] file.c|file.s|-\n"
-      "       lbp_prof [options] --workload "
-      "phases|matmul|pipeline|dma|sensor-fusion\n"
+      "       lbp_prof [options] --workload %s\n"
       "  --cores N  --engine reference|fast\n"
       "  --max-cycles N  --seed N  --drops N  --delays N  --flips N\n"
       "  --no-stalls  --top N\n"
       "  --perfetto OUT.json  --jsonl OUT.jsonl  --counters OUT.json\n"
       "  --digests  --digest-interval N\n"
-      "See docs/OBSERVABILITY.md.\n");
+      "See docs/OBSERVABILITY.md.\n",
+      obs::WorkloadNames);
   return 2;
-}
-
-bool endsWith(const std::string &S, const char *Suffix) {
-  size_t N = std::strlen(Suffix);
-  return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
-}
-
-/// Program text for the chosen input; empty + message on failure.
-std::string loadAsmText(const Options &Opts, std::string &Err) {
-  if (!Opts.Workload.empty()) {
-    if (Opts.Workload == "phases") {
-      workloads::PhasesSpec S;
-      S.NumHarts = Opts.Cores * sim::HartsPerCore;
-      return workloads::buildPhasesProgram(S);
-    }
-    if (Opts.Workload == "matmul")
-      return workloads::buildMatMulProgram(workloads::MatMulSpec::paper(
-          Opts.Cores * sim::HartsPerCore,
-          workloads::MatMulVersion::Distributed));
-    if (Opts.Workload == "pipeline")
-      return workloads::buildPipelineProgram({});
-    if (Opts.Workload == "dma")
-      return workloads::buildDmaStreamProgram({});
-    if (Opts.Workload == "sensor-fusion")
-      return workloads::buildSensorFusionProgram({});
-    Err = "unknown workload '" + Opts.Workload + "'";
-    return std::string();
-  }
-
-  std::string Text;
-  if (Opts.Input == "-") {
-    std::ostringstream SS;
-    SS << std::cin.rdbuf();
-    Text = SS.str();
-  } else {
-    std::ifstream In(Opts.Input);
-    if (!In) {
-      Err = "cannot open '" + Opts.Input + "'";
-      return std::string();
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Text = SS.str();
-  }
-  if (endsWith(Opts.Input, ".s") || endsWith(Opts.Input, ".asm"))
-    return Text;
-  // Det-C goes through the frontend.
-  std::string FrontErr;
-  std::string Asm = frontend::compileDetCToAsm(Text, FrontErr);
-  if (Asm.empty())
-    Err = FrontErr.empty() ? "compilation produced no code" : FrontErr;
-  return Asm;
 }
 
 } // namespace
@@ -229,7 +169,8 @@ int main(int Argc, char **Argv) {
     return usage(); // exactly one program source
 
   std::string Err;
-  std::string Asm = loadAsmText(Opts, Err);
+  std::string Asm =
+      obs::loadAsmText(Opts.Input, Opts.Workload, Opts.Cores, Err);
   if (Asm.empty()) {
     std::fprintf(stderr, "lbp_prof: %s\n", Err.c_str());
     return 2;

@@ -1,0 +1,37 @@
+//===- obs/ToolInput.h - The program lbp_prof and lbp_triage run ----------===//
+//
+// Part of the LBP reproduction project.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Turns a tool's program argument into assembly text: a file (Det-C
+/// source through the frontend, or assembly by its .s/.asm suffix; "-"
+/// reads stdin) or a built-in workload. Compiled into both lbp_prof and
+/// lbp_triage, so the two tools accept the same programs.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef LBP_OBS_TOOLINPUT_H
+#define LBP_OBS_TOOLINPUT_H
+
+#include <string>
+
+namespace lbp {
+namespace obs {
+
+/// The built-in workloads, as the tools' usage texts list them. Each
+/// runs on a bare machine: no workload here needs a device mapped.
+constexpr const char *WorkloadNames = "phases|matmul|pipeline";
+
+/// The assembly text of built-in workload \p Workload sized for \p Cores
+/// cores when it is non-empty, else of the file \p Input. Returns "" and
+/// sets \p Err on failure.
+std::string loadAsmText(const std::string &Input,
+                        const std::string &Workload, unsigned Cores,
+                        std::string &Err);
+
+} // namespace obs
+} // namespace lbp
+
+#endif // LBP_OBS_TOOLINPUT_H

@@ -13,8 +13,8 @@
 /// lbp-triage-report-v1 JSON document.
 ///
 ///   lbp_triage [options] file.c | file.s | -
-///     --workload NAME      phases | matmul | pipeline | dma |
-///                          sensor-fusion (instead of a file)
+///     --workload NAME      phases | matmul | pipeline (instead of a
+///                          file)
 ///     --cores N            machine size, 1..64 (default 4)
 ///     --side-a SPEC        engine spec: reference | fast
 ///     --side-b SPEC        (defaults: side-a reference, side-b fast)
@@ -39,20 +39,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "asm/Assembler.h"
-#include "frontend/Compiler.h"
+#include "obs/ToolInput.h"
 #include "obs/Triage.h"
 #include "support/StringUtils.h"
-#include "workloads/Dma.h"
-#include "workloads/MatMul.h"
-#include "workloads/Phases.h"
-#include "workloads/Pipeline.h"
-#include "workloads/SensorFusion.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 
 using namespace lbp;
@@ -78,65 +70,15 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: lbp_triage [options] file.c|file.s|-\n"
-      "       lbp_triage [options] --workload "
-      "phases|matmul|pipeline|dma|sensor-fusion\n"
+      "       lbp_triage [options] --workload %s\n"
       "  --cores N  --side-a SPEC  --side-b SPEC   (SPEC = reference | "
       "fast)\n"
       "  --seed-a N  --seed-b N  --drops N  --delays N  --flips N\n"
       "  --perturb N  --digest-interval N  --context K  --max-cycles N\n"
       "  --out FILE\n"
-      "See docs/OBSERVABILITY.md, \"Divergence triage\".\n");
+      "See docs/OBSERVABILITY.md, \"Divergence triage\".\n",
+      obs::WorkloadNames);
   return 2;
-}
-
-bool endsWith(const std::string &S, const char *Suffix) {
-  size_t N = std::strlen(Suffix);
-  return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
-}
-
-std::string loadAsmText(const Options &Opts, std::string &Err) {
-  if (!Opts.Workload.empty()) {
-    if (Opts.Workload == "phases") {
-      workloads::PhasesSpec S;
-      S.NumHarts = Opts.Cores * sim::HartsPerCore;
-      return workloads::buildPhasesProgram(S);
-    }
-    if (Opts.Workload == "matmul")
-      return workloads::buildMatMulProgram(workloads::MatMulSpec::paper(
-          Opts.Cores * sim::HartsPerCore,
-          workloads::MatMulVersion::Distributed));
-    if (Opts.Workload == "pipeline")
-      return workloads::buildPipelineProgram({});
-    if (Opts.Workload == "dma")
-      return workloads::buildDmaStreamProgram({});
-    if (Opts.Workload == "sensor-fusion")
-      return workloads::buildSensorFusionProgram({});
-    Err = "unknown workload '" + Opts.Workload + "'";
-    return std::string();
-  }
-
-  std::string Text;
-  if (Opts.Input == "-") {
-    std::ostringstream SS;
-    SS << std::cin.rdbuf();
-    Text = SS.str();
-  } else {
-    std::ifstream In(Opts.Input);
-    if (!In) {
-      Err = "cannot open '" + Opts.Input + "'";
-      return std::string();
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Text = SS.str();
-  }
-  if (endsWith(Opts.Input, ".s") || endsWith(Opts.Input, ".asm"))
-    return Text;
-  std::string FrontErr;
-  std::string Asm = frontend::compileDetCToAsm(Text, FrontErr);
-  if (Asm.empty())
-    Err = FrontErr.empty() ? "compilation produced no code" : FrontErr;
-  return Asm;
 }
 
 /// Parses an engine spec ("reference" or "fast") into \p Cfg; false on
@@ -221,7 +163,8 @@ int main(int Argc, char **Argv) {
     return usage(); // exactly one program source
 
   std::string Err;
-  std::string Asm = loadAsmText(Opts, Err);
+  std::string Asm =
+      obs::loadAsmText(Opts.Input, Opts.Workload, Opts.Cores, Err);
   if (Asm.empty()) {
     std::fprintf(stderr, "lbp_triage: %s\n", Err.c_str());
     return 2;

@@ -176,8 +176,8 @@ void Checker::sweep(Machine &M) {
   // hart's code path, so a Reserved hart older than half the progress
   // guard means the start was lost.
   uint64_t LeakThreshold = M.Cfg.ProgressGuard / 2;
-  if (LeakThreshold < M.Cfg.CheckInterval)
-    LeakThreshold = M.Cfg.CheckInterval;
+  if (LeakThreshold < CheckInterval)
+    LeakThreshold = CheckInterval;
   uint64_t Held = 0;
   bool Live = TokensInFlight != 0;
   const Hart *Leaked = nullptr; // the lowest-numbered leaking hart
@@ -258,7 +258,7 @@ void Checker::sweep(Machine &M) {
 }
 
 uint64_t Checker::nextSweepConcern(const Machine &M) const {
-  const uint64_t I = M.Cfg.CheckInterval;
+  const uint64_t I = CheckInterval;
   // The next sweep boundary strictly after the current cycle.
   const uint64_t Next = (M.Cycle / I + 1) * I;
   uint64_t Concern = UINT64_MAX;
@@ -308,7 +308,6 @@ uint64_t Checker::nextSweepConcern(const Machine &M) const {
   return Concern;
 }
 
-void Checker::onSkip(uint64_t FromCycle, uint64_t ToCycle,
-                     uint64_t Interval) {
-  SweepCount += ToCycle / Interval - FromCycle / Interval;
+void Checker::onSkip(uint64_t FromCycle, uint64_t ToCycle) {
+  SweepCount += ToCycle / CheckInterval - FromCycle / CheckInterval;
 }

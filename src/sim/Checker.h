@@ -63,7 +63,7 @@ struct MachineCheck {
 };
 
 /// The checker state machine. The Machine calls the hooks; sweep() runs
-/// every SimConfig::CheckInterval cycles. Any violation is recorded and
+/// every CheckInterval cycles (sim/Config.h). Any violation is recorded and
 /// escalated through Machine::fault().
 struct SnapshotAccess; // checkpoint serializer (sim/Snapshot.cpp)
 
@@ -103,7 +103,7 @@ public:
   /// have reported, per nextSweepConcern). Keeps SweepCount — and with
   /// it the every-64th-sweep wheel-audit cadence — identical to the
   /// reference path.
-  void onSkip(uint64_t FromCycle, uint64_t ToCycle, uint64_t Interval);
+  void onSkip(uint64_t FromCycle, uint64_t ToCycle);
 
   const std::vector<MachineCheck> &checks() const { return Checks; }
 

@@ -18,7 +18,6 @@
 #define LBP_SIM_CONFIG_H
 
 #include <cstdint>
-#include <string>
 
 namespace lbp {
 namespace sim {
@@ -33,6 +32,14 @@ constexpr unsigned RobEntries = 8;
 
 /// Remote-result buffer slots per hart (p_swre/p_lwre targets).
 constexpr unsigned ResultSlots = 8;
+
+/// Cycle stride of the machine-check layer's periodic sweep
+/// (SimConfig::EnableCheckers; docs/ROBUSTNESS.md).
+constexpr uint64_t CheckInterval = 64;
+
+/// Entries the interval-digest ring keeps (SimConfig::DigestInterval):
+/// the newest ones once more boundaries have been crossed.
+constexpr unsigned DigestRingCap = 64;
 
 /// Deterministic transient-fault injection (docs/ROBUSTNESS.md). Every
 /// fault is drawn from a SplitMix64 stream seeded with \c Seed, so the
@@ -114,29 +121,15 @@ struct SimConfig {
   /// fast-forward over empty cycles, per-core sleep/wake scheduling so
   /// the pipeline stages only run on cores with in-flight work, and a
   /// pre-decoded text segment. The event stream is bit-identical with
-  /// the flag on or off — same traceHash(), cycles() and RunStatus —
-  /// which the differential tests enforce; the reference path survives
-  /// as the oracle. Stall-cause classification (CollectStallStats)
-  /// needs every core-cycle observed, so it forces the reference
-  /// scheduling loop regardless of this flag.
+  /// the flag on or off — same traceHash(), cycles(), RunStatus and
+  /// counters, stall tallies included — which the differential tests
+  /// enforce; the reference path survives as the oracle. This flag
+  /// alone selects the cycle loop.
   bool FastPath = true;
 
-  /// Record formatted trace events (hashing is always on).
-  bool RecordTrace = false;
-
-  /// Cap on the formatted trace lines kept in memory when RecordTrace
-  /// is on (docs/PERFORMANCE.md "Trace memory"). 0 means unlimited;
-  /// lines past the cap are dropped and counted in
-  /// Trace::droppedLines(). Hashing is unaffected — the cap bounds
-  /// memory, never the fingerprint.
-  uint64_t TraceLineCap = 1u << 20;
-
-  /// When non-empty (and RecordTrace is on), formatted lines stream to
-  /// this file instead of accumulating in Machine::trace().lines().
-  std::string TraceLineFile;
-
-  /// Classify why each core issued nothing in a cycle (adds a per-cycle
-  /// scan; off by default).
+  /// Classify why each core issued nothing in a cycle (adds a scan per
+  /// visited core-cycle; a sleeping core's cycles are credited in bulk
+  /// to the cause of its last visit; off by default).
   bool CollectStallStats = false;
 
   /// Deterministic performance counters (docs/OBSERVABILITY.md):
@@ -153,29 +146,21 @@ struct SimConfig {
   /// simulation.
   bool CollectMemLog = false;
 
-  /// Machine-check invariant checkers (docs/ROBUSTNESS.md). They are
+  /// Machine-check invariant checkers (docs/ROBUSTNESS.md): checks on
+  /// every delivery plus a sweep every CheckInterval cycles. They are
   /// read-only observers of the machine state: a fault-free run produces
   /// the same trace hash with them on or off.
   bool EnableCheckers = true;
 
-  /// Cycle stride of the periodic checker sweep (0 disables the sweep
-  /// but keeps the per-delivery checks).
-  uint64_t CheckInterval = 64;
-
   /// Interval-digest stride in cycles (docs/OBSERVABILITY.md
   /// "Divergence triage"): every DigestInterval cycles the running
-  /// order-sensitive trace hash is recorded into a bounded ring
-  /// (Trace::digestEntries()) and offered to sinks. Purely an
+  /// order-sensitive trace hash is recorded into a ring of the newest
+  /// DigestRingCap entries (Trace::digestEntries(); Trace::digestCount()
+  /// still reports the total) and offered to sinks. Purely an
   /// observation of the hash accumulator — provably hash-neutral, the
   /// fingerprint and final hash are unchanged with digests on or off.
   /// 0 disables digesting.
   uint64_t DigestInterval = 4096;
-
-  /// Capacity of the interval-digest ring; when more than this many
-  /// boundaries are crossed, the ring keeps the most recent entries and
-  /// Trace::digestCount() still reports the total (triage attaches a
-  /// sink to capture the full sequence when it needs it).
-  unsigned DigestRingCap = 64;
 
   /// Deliberate divergence seed for tests and CI (docs/OBSERVABILITY.md
   /// "Divergence triage"): when nonzero, the first event at or after
@@ -200,6 +185,12 @@ struct SimConfig {
     return C;
   }
 };
+
+/// Stable display name of the cycle loop \p Cfg selects: "fastpath", or
+/// "reference" for the oracle loop (SimConfig::FastPath off).
+inline const char *engineName(const SimConfig &Cfg) {
+  return Cfg.FastPath ? "fastpath" : "reference";
+}
 
 } // namespace sim
 } // namespace lbp

@@ -29,13 +29,9 @@ Machine::Machine(const SimConfig &Config)
     : Cfg(Config), Mem(Config), Net(Config),
       FPlan(Config.Faults, Config.NumCores), Cores(Config.NumCores),
       WheelSlots(std::make_unique_for_overwrite<WheelSlot[]>(WheelSize)) {
-  Tr.setRecording(Cfg.RecordTrace);
-  Tr.setLineCap(Cfg.TraceLineCap);
-  Tr.configureDigests(Cfg.DigestInterval, Cfg.DigestRingCap);
-  if (!Cfg.TraceLineFile.empty() && !Tr.setLineFile(Cfg.TraceLineFile))
-    fault(formatString("cannot open trace line file '%s'",
-                       Cfg.TraceLineFile.c_str()));
+  Tr.configureDigests(Cfg.DigestInterval);
   StallByCore.assign(Cfg.NumCores * NumStallSlots, 0);
+  LastTally.assign(Cfg.NumCores, {});
   CoreWake.assign(Cfg.NumCores, 0);
   rebuildAwakeSet();
   if (Cfg.CollectCounters) {
@@ -43,9 +39,6 @@ Machine::Machine(const SimConfig &Config)
     Obs->init(Cfg);
     Tr.addSink(Obs.get());
   }
-  // Stall-cause classification observes every core-cycle (including the
-  // idle ones), so it forces the reference scheduling loop.
-  FastRun = Cfg.FastPath && !Cfg.CollectStallStats;
   // Pre-size the delivery plumbing for a typical fan-in; both only ever
   // grow to the run's peak and are then reused.
   WheelPool.reserve(64);
@@ -89,7 +82,7 @@ void Machine::load(const assembler::Program &Prog) {
     }
   }
 
-  if (FastRun)
+  if (Cfg.FastPath)
     predecodeText();
 
   // Hart 0 of core 0 boots at the entry point holding the token, with
@@ -764,7 +757,7 @@ bool Machine::stageIssue(unsigned CoreId) {
           H.Sched.HeadDoneAt = E.DoneCycle;
         C.IssueRR = (HIdx + 1) % HartsPerCore;
         if (Cfg.CollectStallStats)
-          ++StallByCore[CoreId * NumStallSlots + IssuedSlot];
+          tallyIssueSlot(CoreId, IssuedSlot);
         return true;
       }
       if (Halted)
@@ -772,18 +765,32 @@ bool Machine::stageIssue(unsigned CoreId) {
     }
   }
   if (Cfg.CollectStallStats)
-    classifyIssueStall(CoreId);
+    tallyIssueSlot(CoreId, stallSlot(C));
   return false;
 }
 
-void Machine::classifyIssueStall(unsigned CoreId) {
-  // Rank causes by how close the work was to issuing.
-  Core &C = Cores[CoreId];
+void Machine::tallyIssueSlot(unsigned CoreId, unsigned Slot) {
+  // Any cycle since the core's last tally is one the fast path skipped
+  // it while it was frozen, so it stalled for that tally's cause.
+  creditStalls(CoreId, Cycle - 1);
+  ++StallByCore[CoreId * NumStallSlots + Slot];
+  LastTally[CoreId] = {Cycle, Slot};
+}
+
+void Machine::creditStalls(unsigned CoreId, uint64_t Through) {
+  StallMark &M = LastTally[CoreId];
+  if (Through > M.Cycle) {
+    StallByCore[CoreId * NumStallSlots + M.Slot] += Through - M.Cycle;
+    M.Cycle = Through;
+  }
+}
+
+unsigned Machine::stallSlot(const Core &C) const {
   bool SawInFlight = false, SawWaitingOps = false, SawRbBusy = false,
        SawSlotEmpty = false;
-  for (Hart &H : C.Harts) {
+  for (const Hart &H : C.Harts) {
     for (unsigned P = 0; P != H.RobCount; ++P) {
-      RobEntry &E = H.Rob[H.robIndex(P)];
+      const RobEntry &E = H.Rob[H.robIndex(P)];
       if (E.State != RobEntry::St::Waiting) {
         SawInFlight = true;
         continue;
@@ -808,7 +815,7 @@ void Machine::classifyIssueStall(unsigned CoreId) {
     Cause = StallCause::OperandsNotReady;
   else if (SawInFlight)
     Cause = StallCause::WaitingResponse;
-  ++StallByCore[CoreId * NumStallSlots + static_cast<unsigned>(Cause)];
+  return static_cast<unsigned>(Cause);
 }
 
 namespace {
@@ -1333,7 +1340,7 @@ bool Machine::stageDecode(unsigned CoreId) {
   // pcs (p_jalr only clears bit 0) and fetches beyond the table.
   MicroOp U;
   uint32_t WordIdx = H.IbPc >> 2;
-  if (FastRun && (H.IbPc & 3u) == 0 && WordIdx < DecodedText.size())
+  if ((H.IbPc & 3u) == 0 && WordIdx < DecodedText.size())
     U = DecodedText[WordIdx];
   else
     U = decodeMicroOp(H.IbWord);
@@ -1510,8 +1517,10 @@ bool Machine::coreStages(unsigned CoreId) {
 void Machine::cycleStages() {
   for (unsigned CoreId = 0; CoreId != Cfg.NumCores; ++CoreId) {
     coreStages(CoreId);
-    if (Halted)
-      break;
+    if (Halted) {
+      HaltCore = CoreId;
+      return;
+    }
   }
 }
 
@@ -1537,8 +1546,10 @@ bool Machine::cycleAwakeStages() {
     for (uint64_t Bits = Awake[W]; Bits != 0; Bits &= Bits - 1) {
       unsigned CoreId = static_cast<unsigned>(W * 64) + __builtin_ctzll(Bits);
       bool CoreActed = coreStages(CoreId);
-      if (Halted)
+      if (Halted) {
+        HaltCore = CoreId;
         return Acted;
+      }
       if (CoreActed) {
         CoreWake[CoreId] = Cycle; // stay awake: more work next cycle
         Acted = true;
@@ -1583,12 +1594,11 @@ void Machine::rebuildAwakeSet() {
 RunStatus Machine::run(uint64_t MaxCycles) {
   if (Status == RunStatus::Fault)
     return Status;
-  Engine = FastRun ? EngineKind::FastPath : EngineKind::Reference;
   armPerturb();
   Status = RunStatus::MaxCycles;
   Halted = false;
+  HaltCore = Cfg.NumCores;
   uint64_t Budget = MaxCycles;
-  const bool Sweeps = Cfg.EnableCheckers && Cfg.CheckInterval != 0;
 
   while (!Halted && Budget-- != 0) {
     ++Cycle;
@@ -1601,18 +1611,20 @@ RunStatus Machine::run(uint64_t MaxCycles) {
       if (Halted)
         break;
     }
-    if (Halted)
+    if (Halted) {
+      HaltCore = 0;
       break;
+    }
 
     bool Acted = false;
-    if (FastRun)
+    if (Cfg.FastPath)
       Acted = cycleAwakeStages();
     else
       cycleStages();
     if (Halted)
       break;
 
-    if (Sweeps && Cycle % Cfg.CheckInterval == 0) {
+    if (Cfg.EnableCheckers && Cycle % CheckInterval == 0) {
       Ck.sweep(*this);
       if (Halted)
         break;
@@ -1631,7 +1643,7 @@ RunStatus Machine::run(uint64_t MaxCycles) {
     // state. Jump to just before that cycle; the skipped cycles are
     // exactly the ones on which the reference loop does nothing
     // observable, so the event stream is bit-identical.
-    if (FastRun && !Acted) {
+    if (Cfg.FastPath && !Acted) {
       uint64_t Target = nextDeliveryCycle();
       uint64_t Wake = nextCoreWakeCycle();
       if (Wake < Target)
@@ -1641,7 +1653,7 @@ RunStatus Machine::run(uint64_t MaxCycles) {
                                 : LastProgress + Cfg.ProgressGuard + 1;
       if (LivelockAt < Target)
         Target = LivelockAt;
-      if (Sweeps) {
+      if (Cfg.EnableCheckers) {
         uint64_t Concern = Ck.nextSweepConcern(*this);
         if (Concern < Target)
           Target = Concern;
@@ -1654,26 +1666,36 @@ RunStatus Machine::run(uint64_t MaxCycles) {
         if (Span > Budget)
           Span = Budget;
         if (Span != 0) {
-          if (Sweeps)
-            Ck.onSkip(Cycle, Cycle + Span, Cfg.CheckInterval);
+          if (Cfg.EnableCheckers)
+            Ck.onSkip(Cycle, Cycle + Span);
           Cycle += Span;
           Budget -= Span;
         }
       }
     }
   }
+  // Credit each core through the last cycle the reference loop
+  // classified on it: the final one, but for the cores at and above
+  // HaltCore, whose walk a halt cut short. Then mark the final cycle
+  // counted on every core, so that a later run() credits nothing to it.
+  if (Cfg.CollectStallStats)
+    for (unsigned CoreId = 0; CoreId != Cfg.NumCores; ++CoreId) {
+      creditStalls(CoreId, CoreId < HaltCore ? Cycle : Cycle - 1);
+      LastTally[CoreId].Cycle = Cycle;
+    }
   Tr.flushDigests(Cycle);
   return Status;
 }
 
 /// Arms the PerturbForTest divergence seed for this run. The payload
-/// encodes the *host-side* identity of the run — the selected engine —
-/// so two runs that the determinism guarantee would make bit-identical
-/// diverge at exactly Cfg.PerturbForTest.
+/// encodes the *host-side* identity of the run — the engine, 0 for the
+/// reference loop and 1 for the fast path — so two runs that the
+/// determinism guarantee would make bit-identical diverge at exactly
+/// Cfg.PerturbForTest.
 void Machine::armPerturb() {
   if (Cfg.PerturbForTest == 0 || Tr.perturbFired())
     return;
-  Tr.setPerturb(Cfg.PerturbForTest, static_cast<uint64_t>(Engine));
+  Tr.setPerturb(Cfg.PerturbForTest, Cfg.FastPath ? 1 : 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1783,16 +1805,6 @@ uint64_t Machine::issuedCoreCycles() const {
   for (unsigned Core = 0; Core != Cfg.NumCores; ++Core)
     N += issuedCoreCycles(Core);
   return N;
-}
-
-const char *Machine::engineName() const {
-  switch (Engine) {
-  case EngineKind::Reference:
-    return "reference";
-  case EngineKind::FastPath:
-    return "fastpath";
-  }
-  return "?";
 }
 
 const char *lbp::sim::stallCauseName(Machine::StallCause C) {

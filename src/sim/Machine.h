@@ -136,8 +136,8 @@ public:
 
   /// Restores a saveSnapshot() blob into this machine. The machine must
   /// have been constructed with a behaviorally identical SimConfig (a
-  /// config digest in the blob is verified; host-only knobs — FastPath,
-  /// trace recording — may differ) and the same devices
+  /// config digest in the blob is verified; the host-only FastPath may
+  /// differ) and the same devices
   /// added in the same order. On success the machine continues exactly
   /// where the snapshot was taken: running it to completion yields the
   /// same trace hash, cycle count and counter snapshot as the
@@ -197,13 +197,9 @@ public:
   uint64_t localAccesses() const { return LocalAccesses; }
   const SimConfig &config() const { return Cfg; }
 
-  /// Which cycle loop run() selected (set at the start of every run):
-  /// the fast path, or the reference loop kept as its oracle
-  /// (FastPath off, or CollectStallStats needing every core-cycle).
-  enum class EngineKind : uint8_t { Reference, FastPath };
-  EngineKind engineUsed() const { return Engine; }
-  /// Stable display name of engineUsed().
-  const char *engineName() const;
+  /// Stable display name of the cycle loop run() walks (sim::engineName
+  /// of the config).
+  const char *engineName() const { return sim::engineName(Cfg); }
 
   /// The deterministic counter set (SimConfig::CollectCounters;
   /// docs/OBSERVABILITY.md). Disabled and empty unless configured.
@@ -287,8 +283,8 @@ private:
   void fault(std::string Msg);
   /// The livelock diagnosis: one wait-state line per non-free hart.
   std::string livelockReport() const;
-  /// Arms SimConfig::PerturbForTest on the trace for this run (run()
-  /// calls it once the engine is selected — the payload encodes it).
+  /// Arms SimConfig::PerturbForTest on the trace for this run (the
+  /// payload encodes the engine).
   void armPerturb();
   /// Fills DecodedText from the code image (FastPath; load and snapshot
   /// restore).
@@ -322,7 +318,8 @@ private:
   /// Returns true when any core acted; false also on halt.
   bool cycleAwakeStages();
   /// Runs \p CoreId's five stages for this cycle; true when any acted.
-  /// Leaves \p Halted set when a stage halted the machine.
+  /// Leaves \p Halted set when a stage halted the machine; the caller
+  /// then records the core in HaltCore.
   bool coreStages(unsigned CoreId);
   /// Earliest cycle at which any core could act on its own: Cycle + 1
   /// while a core is awake, else the earliest timer among the sleepers
@@ -385,14 +382,35 @@ private:
   static constexpr unsigned IssuedSlot =
       static_cast<unsigned>(StallCause::NumCauses);
   std::vector<uint64_t> StallByCore;
-  void classifyIssueStall(unsigned CoreId);
+  /// The stall-cause slot of \p C's current state, ranked by how close
+  /// its work was to issuing.
+  unsigned stallSlot(const Core &C) const;
+  /// Counts this cycle's issue slot \p Slot for \p CoreId, after
+  /// crediting the cycles since its last tally.
+  void tallyIssueSlot(unsigned CoreId, unsigned Slot);
+  /// Stall tallies on the fast path: per core, the last cycle counted in
+  /// StallByCore and that cycle's slot. The fast path skips a core only
+  /// while it is frozen, so every cycle it sleeps through stalls for the
+  /// cause of its last visit. Derived state: restore sets each core to
+  /// the snapshot cycle and the slot of its restored state.
+  struct StallMark {
+    uint64_t Cycle = 0;
+    unsigned Slot = 0;
+  };
+  std::vector<StallMark> LastTally;
+  /// Credits \p CoreId's slot for the cycles after its last tally up to
+  /// \p Through.
+  void creditStalls(unsigned CoreId, uint64_t Through);
+  /// The core whose stages halted the run's last cycle: 0 for a halt
+  /// among the deliveries, NumCores when every core's stages ran. The
+  /// reference loop classified that cycle on the cores below it only.
+  unsigned HaltCore = 0;
 
   /// Deterministic counters (SimConfig::CollectCounters): allocated and
   /// attached as a trace sink by the constructor when enabled. On the
   /// heap so the registered sink pointer survives Machine moves; null
   /// doubles as the disabled fast-path guard at the hook sites.
   std::unique_ptr<obs::PerfCounters> Obs;
-  EngineKind Engine = EngineKind::Reference;
 
   // Delivery wheel with a far-future overflow heap (docs/PERFORMANCE.md,
   // "Delivery wheel"). A delivery due at At, fewer than WheelSize cycles
@@ -466,12 +484,10 @@ private:
   /// from cycle to cycle.
   std::vector<Delivery> DueBuf;
 
-  /// Effective fast-path switch for this run: SimConfig::FastPath minus
-  /// the modes that need every core-cycle observed (stall-cause stats).
-  bool FastRun = false;
-  /// Text segment decoded once at load() (FastPath): the micro-op at
-  /// word address W is DecodedText[W]. Valid because LBP code banks are
-  /// read-only after load — stores into the code region fault.
+  /// Text segment decoded once at load() (FastPath; empty on the
+  /// reference loop): the micro-op at word address W is DecodedText[W].
+  /// Valid because LBP code banks are read-only after load — stores
+  /// into the code region fault.
   std::vector<MicroOp> DecodedText;
 
   struct DeviceMapping {

@@ -47,10 +47,10 @@ const char *lbp::sim::runStatusName(RunStatus S) {
 }
 
 uint64_t lbp::sim::snapshotConfigDigest(const SimConfig &Cfg) {
-  // Fold every behavior-relevant field in a fixed order. Host-only
-  // knobs (FastPath, RecordTrace, trace line options) are deliberately
-  // absent: they select *how* the state sequence is computed, never
-  // *what* it is, so a snapshot stays portable across engines.
+  // Fold every behavior-relevant field in a fixed order. The host-only
+  // FastPath is deliberately absent: it selects *how* the state
+  // sequence is computed, never *what* it is, so a snapshot stays
+  // portable across engines.
   EventHash H;
   H.addWord(Cfg.NumCores);
   H.addWord(Cfg.GlobalBankSizeLog2);
@@ -69,7 +69,10 @@ uint64_t lbp::sim::snapshotConfigDigest(const SimConfig &Cfg) {
   H.addWord(Cfg.CollectCounters);
   H.addWord(Cfg.CollectMemLog);
   H.addWord(Cfg.EnableCheckers);
-  H.addWord(Cfg.CheckInterval);
+  // CheckInterval and DigestRingCap were SimConfig fields; they stay
+  // folded in their old places so that every digest, and with it every
+  // blob, keeps its bytes.
+  H.addWord(CheckInterval);
   H.addWord(Cfg.Faults.Seed);
   H.addWord(Cfg.Faults.Drops);
   H.addWord(Cfg.Faults.Delays);
@@ -83,7 +86,7 @@ uint64_t lbp::sim::snapshotConfigDigest(const SimConfig &Cfg) {
   // state, so their governing knobs must match on restore; PerturbForTest
   // additionally changes the hash chain itself.
   H.addWord(Cfg.DigestInterval);
-  H.addWord(Cfg.DigestRingCap);
+  H.addWord(DigestRingCap);
   H.addWord(Cfg.PerturbForTest);
   return H.value();
 }
@@ -331,8 +334,8 @@ struct SnapshotAccess {
   }
 
   /// The trace hash, then the digest/perturb run state that extends it
-  /// (v3). Interval and ring capacity are config (folded into the config
-  /// digest), so only the evolving state is serialized.
+  /// (v3). The interval and the ring capacity are folded into the config
+  /// digest, so only the evolving state is serialized.
   template <class Ar, class T> static void trace(Ar &A, T &Tr) {
     uint64_t Hash = Tr.hash();
     bool Fired = Tr.perturbFired();
@@ -492,19 +495,24 @@ struct SnapshotAccess {
 
   /// Derived state a restore rebuilds: each ROB entry's micro-op flags
   /// follow from its instruction and each hart's scheduling summary
-  /// from its ROB; the awake and timer sets from CoreWake and Cycle. The
-  /// pre-decoded text mirrors the code image; the reference engine never
-  /// reads it, so it is cleared there.
+  /// from its ROB; the awake and timer sets from CoreWake and Cycle.
+  /// Each core's stall tallies reach the snapshot cycle, and a core that
+  /// sleeps on stalls for the cause its restored state shows. The
+  /// pre-decoded text mirrors the code image; the reference engine
+  /// never reads it, so it is cleared there.
   static void rebuildDerived(Machine &M) {
-    for (Core &C : M.Cores)
+    for (size_t CoreId = 0; CoreId != M.Cores.size(); ++CoreId) {
+      Core &C = M.Cores[CoreId];
       for (Hart &H : C.Harts) {
         for (RobEntry &E : H.Rob)
           E.Flags = microOpFlags(E.I);
         H.Sched = H.summarizeRob();
       }
+      M.LastTally[CoreId] = {M.Cycle, M.stallSlot(C)};
+    }
     M.DueBuf.clear(); // per-cycle scratch, empty between cycles
     M.rebuildAwakeSet();
-    if (M.FastRun)
+    if (M.Cfg.FastPath)
       M.predecodeText();
     else
       M.DecodedText.clear();

@@ -21,11 +21,10 @@
 ///   u32 magic 'LBPS'   u32 format version
 ///   u64 config digest  — FNV over the behavior-relevant SimConfig
 ///                        fields (structure, latencies, checkers,
-///                        collection modes, fault plan). Host-only
-///                        knobs (FastPath, trace recording) are
-///                        excluded: they cannot change the simulated
-///                        state, so a snapshot moves freely between
-///                        engines.
+///                        collection modes, fault plan). The host-only
+///                        FastPath is excluded: it cannot change the
+///                        simulated state, so a snapshot moves freely
+///                        between engines.
 ///   sections           — memory, interconnect, cores/harts, delivery
 ///                        wheel + overflow heap, machine scalars,
 ///                        fault-plan cursor, checker accounting, trace
@@ -94,8 +93,7 @@ constexpr uint32_t SnapshotTrailer = 0x50414E53u; // 'S' 'N' 'A' 'P'
 /// Digest of the SimConfig fields that determine simulated behavior.
 /// Two configs with equal digests evolve a loaded machine through the
 /// identical state sequence; restore refuses a digest mismatch.
-/// Host-side observation knobs (FastPath, RecordTrace, trace line
-/// options) are deliberately not folded in.
+/// The host-side FastPath is deliberately not folded in.
 uint64_t snapshotConfigDigest(const SimConfig &Cfg);
 
 } // namespace sim

@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/Trace.h"
-#include "support/StringUtils.h"
+#include "sim/Config.h"
+
+#include <cstddef>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -44,33 +46,9 @@ const char *lbp::sim::eventKindName(EventKind K) {
   return "?";
 }
 
-Trace::Trace(Trace &&O) noexcept
-    : Hash(O.Hash), Recording(O.Recording), LineCap(O.LineCap),
-      DroppedLines(O.DroppedLines), Lines(std::move(O.Lines)),
-      LineFile(O.LineFile), Sinks(std::move(O.Sinks)),
-      Interval(O.Interval), RingCap(O.RingCap), Ring(std::move(O.Ring)),
-      DigestTotal(O.DigestTotal), NextBoundary(O.NextBoundary),
-      PerturbAt(O.PerturbAt), PerturbPayload(O.PerturbPayload),
-      PerturbFiredFlag(O.PerturbFiredFlag), Watermark(O.Watermark),
-      Observed(O.Observed) {
-  O.LineFile = nullptr;
-}
-
-Trace::~Trace() {
-  if (LineFile)
-    std::fclose(LineFile);
-}
-
-bool Trace::setLineFile(const std::string &Path) {
-  if (LineFile)
-    std::fclose(LineFile);
-  LineFile = std::fopen(Path.c_str(), "w");
-  return LineFile != nullptr;
-}
-
-void Trace::configureDigests(uint64_t IntervalCycles, unsigned Cap) {
+void Trace::configureDigests(uint64_t IntervalCycles) {
   Interval = IntervalCycles;
-  RingCap = Interval != 0 ? Cap : 0;
+  RingCap = Interval != 0 ? DigestRingCap : 0;
   Ring.clear();
   Ring.reserve(RingCap);
   DigestTotal = 0;
@@ -166,21 +144,4 @@ void Trace::notify(uint64_t Cycle, EventKind Kind, uint64_t A, uint64_t B) {
   // Sinks observe the exact hashed sequence and never feed back into it.
   for (TraceSink *S : Sinks)
     S->onEvent(Cycle, Kind, A, B);
-  if (!Recording)
-    return;
-  std::string Line = formatString("cycle %llu: %s %llu %llu",
-                                  static_cast<unsigned long long>(Cycle),
-                                  eventKindName(Kind),
-                                  static_cast<unsigned long long>(A),
-                                  static_cast<unsigned long long>(B));
-  if (LineFile) {
-    std::fputs(Line.c_str(), LineFile);
-    std::fputc('\n', LineFile);
-    return;
-  }
-  if (LineCap != 0 && Lines.size() >= LineCap) {
-    ++DroppedLines;
-    return;
-  }
-  Lines.push_back(std::move(Line));
 }

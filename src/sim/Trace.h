@@ -8,9 +8,9 @@
 /// Every observable machine event is folded into an order-sensitive hash;
 /// two runs of the same program on the same configuration are
 /// cycle-deterministic exactly when their hashes match (the paper's
-/// headline property). Optionally the events are also kept as text for
-/// debugging and for the examples that print "at cycle C, core X, hart H
-/// ..." statements like the paper's Section 1.
+/// headline property). Sinks see the same events, for timelines,
+/// counters and the "at cycle C, core X, hart H ..." statements of the
+/// paper's Section 1 (obs::JsonlSink).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +20,6 @@
 #include "support/EventHash.h"
 
 #include <cstdint>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 namespace lbp {
@@ -81,16 +79,10 @@ struct TraceDigest {
 };
 
 /// Event sink: always hashes, fans out to registered TraceSinks,
-/// optionally records formatted lines (bounded; see setLineCap),
 /// optionally records interval digests of the running hash (bounded
 /// ring; see configureDigests).
 class Trace {
   EventHash Hash;
-  bool Recording = false;
-  uint64_t LineCap = 0; ///< 0 = unlimited.
-  uint64_t DroppedLines = 0;
-  std::vector<std::string> Lines;
-  std::FILE *LineFile = nullptr; ///< Owned; see setLineFile.
   std::vector<TraceSink *> Sinks;
 
   // Interval digests (configureDigests). NextBoundary is the smallest
@@ -123,51 +115,27 @@ class Trace {
 
   void recordDigest(uint64_t Boundary);
 
-  /// True when a sink is registered or lines are recorded: the only
-  /// case in which event() leaves its inline hash path.
+  /// True when a sink is registered: the only case in which event()
+  /// leaves its inline hash path.
   bool Observed = false;
-  void updateObserved() { Observed = Recording || !Sinks.empty(); }
 
-  /// Sink fan-out and line recording for one already-hashed event.
+  /// Sink fan-out for one already-hashed event.
   void notify(uint64_t Cycle, EventKind Kind, uint64_t A, uint64_t B);
 
 public:
-  Trace() = default;
-  // Copying would duplicate the owned file handle and fork the sink
-  // fan-out; moving transfers both (sinks outlive the Trace by
-  // contract, so the registered pointers stay valid).
-  Trace(const Trace &) = delete;
-  Trace &operator=(const Trace &) = delete;
-  Trace(Trace &&O) noexcept;
-  ~Trace();
-
-  void setRecording(bool R) {
-    Recording = R;
-    updateObserved();
-  }
-
-  /// Caps the number of formatted lines kept in memory; lines past the
-  /// cap are dropped and counted (droppedLines()). Hashing and sinks
-  /// are unaffected — the cap bounds memory, never the fingerprint.
-  void setLineCap(uint64_t Cap) { LineCap = Cap; }
-
-  /// Streams formatted lines to \p Path instead of accumulating them in
-  /// lines(); returns false when the file cannot be opened.
-  bool setLineFile(const std::string &Path);
-
   /// Registers \p S as an observer of every subsequent event. The sink
   /// must outlive the Trace; ownership stays with the caller.
   void addSink(TraceSink *S) {
     Sinks.push_back(S);
-    updateObserved();
+    Observed = true;
   }
 
   /// Enables interval digests: at every multiple of \p IntervalCycles
-  /// the running hash is recorded into a ring of \p Cap entries (and
-  /// offered to sinks via onDigest). \p IntervalCycles == 0 disables.
-  /// Digesting only *reads* the accumulator, so it is hash-neutral by
-  /// construction, like the sink fan-out.
-  void configureDigests(uint64_t IntervalCycles, unsigned Cap);
+  /// the running hash is recorded into a ring of DigestRingCap entries
+  /// (and offered to sinks via onDigest). \p IntervalCycles == 0
+  /// disables. Digesting only *reads* the accumulator, so it is
+  /// hash-neutral by construction, like the sink fan-out.
+  void configureDigests(uint64_t IntervalCycles);
 
   /// Arms the PerturbForTest divergence seed: the first event at cycle
   /// >= \p Cycle is preceded by a synthetic Perturb event
@@ -179,10 +147,10 @@ public:
   /// checkpointed run state: a restored run must not re-fire.
   bool perturbFired() const { return PerturbFiredFlag; }
 
-  /// Folds one event into the hash, then hands it to the sinks and the
-  /// line recorder. Inline: every commit, bank access and protocol
-  /// message passes through here, and without sinks or recording the
-  /// whole call is one compare plus the hash fold.
+  /// Folds one event into the hash, then hands it to the sinks. Inline:
+  /// every commit, bank access and protocol message passes through
+  /// here, and without sinks the whole call is one compare plus the
+  /// hash fold.
   void event(uint64_t Cycle, EventKind Kind, uint64_t A, uint64_t B = 0) {
     // One compare covers both cold features (digests + perturb); with
     // neither armed the watermark is UINT64_MAX and this never takes.
@@ -228,18 +196,13 @@ public:
 
   /// Checkpoint restore (sim/Snapshot.h): resets the accumulator to a
   /// captured value so the chain continues exactly where the snapshot
-  /// left it. Formatted lines recorded before the snapshot are not part
-  /// of the checkpoint — the hash chain is the identity of the prefix.
+  /// left it. What sinks saw before the snapshot is not part of the
+  /// checkpoint — the hash chain is the identity of the prefix.
   void restoreHash(uint64_t V) { Hash.restore(V); }
-
-  const std::vector<std::string> &lines() const { return Lines; }
-
-  /// Formatted lines discarded after the cap was hit.
-  uint64_t droppedLines() const { return DroppedLines; }
 };
 
 /// Stable lower-case name of an event kind ("commit", "bank-read", ...),
-/// shared by the recorded lines and the timeline exporters.
+/// shared by the timeline exporters.
 const char *eventKindName(EventKind K);
 
 } // namespace sim

@@ -179,16 +179,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Differential,
 // skipping, active-set scheduling, pre-decoded text) must be an exact
 // no-op on the observable run: same RunStatus, same final cycle count,
 // same retired count, same cycle-by-cycle trace hash, same machine
-// checks and same counter snapshot as the reference
-// every-core-every-cycle loop. docs/PERFORMANCE.md states the contract;
-// these tests enforce it over every paper workload plus the Det-C
-// corpus and the random-program generator above.
+// checks and same counter snapshot, stall tallies included, as the
+// reference every-core-every-cycle loop. docs/PERFORMANCE.md states the
+// contract; these tests enforce it over every paper workload plus the
+// Det-C corpus and the random-program generator above.
 //===----------------------------------------------------------------------===//
 
 /// The observable fingerprint of a run; any divergence between the two
 /// engines is a fast-path bug by definition. Counters is the full
-/// canonical snapshot (obs::countersToJson), so every comparison also
-/// proves counter bit-identity.
+/// canonical snapshot (obs::countersToJson), stall tallies included, so
+/// every comparison also proves counter bit-identity.
 struct RunFingerprint {
   RunStatus Status;
   uint64_t Cycles;
@@ -199,10 +199,14 @@ struct RunFingerprint {
   std::string Counters;
 };
 
+/// Runs \p Prog with the counters on and, unless \p Stalls is false,
+/// the stall tallies.
 RunFingerprint runWith(const assembler::Program &Prog, SimConfig Cfg,
-                       bool FastPath, uint64_t MaxCycles) {
+                       bool FastPath, uint64_t MaxCycles,
+                       bool Stalls = true) {
   Cfg.FastPath = FastPath;
   Cfg.CollectCounters = true;
+  Cfg.CollectStallStats = Stalls;
   Machine M(Cfg);
   M.load(Prog);
   RunStatus S = M.run(MaxCycles);
@@ -215,9 +219,31 @@ RunFingerprint runWith(const assembler::Program &Prog, SimConfig Cfg,
           obs::countersToJson(M)};
 }
 
-/// Assembles \p Src and runs it twice, FastPath off then on, expecting
-/// identical fingerprints. Programs that fault or hit MaxCycles are
-/// compared too — truncated and failed runs must also be bit-identical.
+/// Expects \p Got to match \p Want on everything but the counters.
+void expectSameRun(const RunFingerprint &Want, const RunFingerprint &Got,
+                   const std::string &What) {
+  EXPECT_EQ(static_cast<int>(Want.Status), static_cast<int>(Got.Status))
+      << What;
+  EXPECT_EQ(Want.Cycles, Got.Cycles) << What;
+  EXPECT_EQ(Want.Retired, Got.Retired) << What;
+  EXPECT_EQ(Want.Hash, Got.Hash) << What;
+  EXPECT_EQ(Want.Message, Got.Message) << What;
+  ASSERT_EQ(Want.Checks.size(), Got.Checks.size()) << What;
+  for (size_t I = 0; I != Want.Checks.size(); ++I) {
+    EXPECT_EQ(Want.Checks[I].Cycle, Got.Checks[I].Cycle) << What;
+    EXPECT_EQ(static_cast<int>(Want.Checks[I].Kind),
+              static_cast<int>(Got.Checks[I].Kind))
+        << What;
+    EXPECT_EQ(Want.Checks[I].Hart, Got.Checks[I].Hart) << What;
+    EXPECT_EQ(Want.Checks[I].Message, Got.Checks[I].Message) << What;
+  }
+}
+
+/// Assembles \p Src and runs it with stall tallies, FastPath off then
+/// on, expecting identical fingerprints; then once more on the fast path
+/// without them, the configuration the benchmarks time, expecting the
+/// same run. Programs that fault or hit MaxCycles are compared too —
+/// truncated and failed runs must also be bit-identical.
 void expectFastPathIdentical(const std::string &Src, SimConfig Cfg,
                              const std::string &What,
                              uint64_t MaxCycles = 2000000) {
@@ -225,22 +251,11 @@ void expectFastPathIdentical(const std::string &Src, SimConfig Cfg,
   ASSERT_TRUE(R.succeeded()) << What << ":\n" << R.errorText();
   RunFingerprint Ref = runWith(R.Prog, Cfg, /*FastPath=*/false, MaxCycles);
   RunFingerprint Fast = runWith(R.Prog, Cfg, /*FastPath=*/true, MaxCycles);
-  EXPECT_EQ(static_cast<int>(Ref.Status), static_cast<int>(Fast.Status))
-      << What;
-  EXPECT_EQ(Ref.Cycles, Fast.Cycles) << What;
-  EXPECT_EQ(Ref.Retired, Fast.Retired) << What;
-  EXPECT_EQ(Ref.Hash, Fast.Hash) << What;
-  EXPECT_EQ(Ref.Message, Fast.Message) << What;
+  expectSameRun(Ref, Fast, What);
   EXPECT_EQ(Ref.Counters, Fast.Counters) << What;
-  ASSERT_EQ(Ref.Checks.size(), Fast.Checks.size()) << What;
-  for (size_t I = 0; I != Ref.Checks.size(); ++I) {
-    EXPECT_EQ(Ref.Checks[I].Cycle, Fast.Checks[I].Cycle) << What;
-    EXPECT_EQ(static_cast<int>(Ref.Checks[I].Kind),
-              static_cast<int>(Fast.Checks[I].Kind))
-        << What;
-    EXPECT_EQ(Ref.Checks[I].Hart, Fast.Checks[I].Hart) << What;
-    EXPECT_EQ(Ref.Checks[I].Message, Fast.Checks[I].Message) << What;
-  }
+  RunFingerprint Bare = runWith(R.Prog, Cfg, /*FastPath=*/true, MaxCycles,
+                                /*Stalls=*/false);
+  expectSameRun(Ref, Bare, What + " without stall tallies");
 }
 
 /// The fault matrix the workloads below are swept through: clean, one

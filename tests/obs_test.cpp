@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Hand-computed checks of the deterministic counter set
-// (obs::PerfCounters), the bounded trace-line recording, and the
+// (obs::PerfCounters), the stall-cause tallies, and the
 // hash-neutrality guarantee: enabling any part of the observability
 // layer must leave the run's fingerprint untouched
 // (docs/OBSERVABILITY.md). Engine bit-identity of the same counters is
@@ -15,15 +15,15 @@
 
 #include "asm/Assembler.h"
 #include "obs/Report.h"
+#include "romp/AsmText.h"
+#include "romp/Runtime.h"
 #include "sim/Machine.h"
 #include "workloads/Phases.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <numeric>
-#include <sstream>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -239,6 +239,65 @@ TEST(Obs, StallAccountingCoversEveryCoreCycle) {
   EXPECT_GE(Classified + 2, M.cycles());
 }
 
+/// Issued plus stalled core-cycles, summed over the cores.
+uint64_t classifiedCoreCycles(const Machine &M) {
+  uint64_t N = M.issuedCoreCycles();
+  for (unsigned C = 0;
+       C != static_cast<unsigned>(Machine::StallCause::NumCauses); ++C)
+    N += M.stallCycles(static_cast<Machine::StallCause>(C));
+  return N;
+}
+
+TEST(Obs, StallTalliesStopWhereTheCoreWalkStops) {
+  // The reference loop classifies each core once a cycle, in core
+  // order, at its issue stage, and a halt ends the walk. So a truncated
+  // run classifies every core-cycle; an exit (a commit on core 0)
+  // leaves its last cycle unclassified on every core; and a fault in
+  // core h's issue stage leaves it classified on the cores below h only.
+  // The fast path credits sleeping cores in bulk and must land on the
+  // same totals.
+  romp::AsmText Head;
+  romp::emitMainPrologue(Head);
+  romp::emitParallelCall(Head, "worker", 16, "0");
+  romp::AsmText Tail;
+  romp::emitMainEpilogue(Tail);
+  romp::emitParallelStart(Tail);
+  std::string Src = Head.str() + Tail.str() + R"(
+worker:
+    li t1, 13
+    bne a0, t1, done
+    p_lwre a5, 99        # member 13 faults at issue: slot 99 is bad
+done:
+    p_ret
+)";
+  for (bool Fast : {false, true}) {
+    SimConfig Cfg = SimConfig::lbp(4);
+    Cfg.FastPath = Fast;
+    Cfg.CollectStallStats = true;
+
+    Machine Cut(Cfg);
+    ASSERT_EQ(runOn(Cut, Src, 50), RunStatus::MaxCycles);
+    EXPECT_EQ(classifiedCoreCycles(Cut), 4u * 50u) << Fast;
+
+    Machine Exit(Cfg);
+    ASSERT_EQ(runOn(Exit, std::string(MicroSrc) + Epilogue),
+              RunStatus::Exited);
+    EXPECT_EQ(classifiedCoreCycles(Exit), 4 * (Exit.cycles() - 1)) << Fast;
+
+    Machine Bad(Cfg);
+    ASSERT_EQ(runOn(Bad, Src), RunStatus::Fault);
+    unsigned Hart = 0;
+    ASSERT_EQ(std::sscanf(Bad.faultMessage().c_str(),
+                          "p_lwre on hart %u with bad slot", &Hart),
+              1)
+        << Bad.faultMessage();
+    unsigned Below = Hart / HartsPerCore;
+    ASSERT_NE(Below, 0u) << "the fault should land past core 0";
+    EXPECT_EQ(classifiedCoreCycles(Bad), 4 * (Bad.cycles() - 1) + Below)
+        << Fast;
+  }
+}
+
 TEST(Obs, CountersAreHashNeutral) {
   // The sinks run after hashing, so flipping CollectCounters (and stall
   // stats with it) must not move the fingerprint by a single bit.
@@ -259,49 +318,6 @@ TEST(Obs, CountersAreHashNeutral) {
   EXPECT_EQ(A.traceHash(), B.traceHash());
   EXPECT_EQ(A.cycles(), B.cycles());
   EXPECT_EQ(A.retired(), B.retired());
-}
-
-TEST(Obs, LineCapBoundsMemoryNotTheFingerprint) {
-  workloads::PhasesSpec Spec;
-  Spec.NumHarts = 16;
-  std::string Src = workloads::buildPhasesProgram(Spec);
-
-  SimConfig Unbounded = SimConfig::lbp(4);
-  Unbounded.RecordTrace = true;
-  Unbounded.TraceLineCap = 0;
-  Machine A(Unbounded);
-  ASSERT_EQ(runOn(A, Src), RunStatus::Exited);
-  ASSERT_GT(A.trace().lines().size(), 10u);
-  EXPECT_EQ(A.trace().droppedLines(), 0u);
-
-  SimConfig Capped = Unbounded;
-  Capped.TraceLineCap = 10;
-  Machine B(Capped);
-  ASSERT_EQ(runOn(B, Src), RunStatus::Exited);
-  EXPECT_EQ(B.trace().lines().size(), 10u);
-  EXPECT_EQ(B.trace().droppedLines(), A.trace().lines().size() - 10u);
-  EXPECT_EQ(A.traceHash(), B.traceHash());
-}
-
-TEST(Obs, LineFileStreamsInsteadOfAccumulating) {
-  const char *Path = "obs_test_trace_lines.tmp";
-  std::remove(Path);
-  {
-    SimConfig Cfg = SimConfig::lbp(4);
-    Cfg.RecordTrace = true;
-    Cfg.TraceLineFile = Path;
-    Machine M(Cfg);
-    ASSERT_EQ(runOn(M, std::string(MicroSrc) + Epilogue),
-              RunStatus::Exited);
-    EXPECT_TRUE(M.trace().lines().empty());
-    EXPECT_EQ(M.trace().droppedLines(), 0u);
-  } // ~Machine closes the file
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  EXPECT_NE(SS.str().find("commit"), std::string::npos);
-  std::remove(Path);
 }
 
 TEST(Obs, CounterJsonAndReportAreWellFormed) {

@@ -4,18 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Properties that must hold across the configuration space: recording a
-// trace never changes the run, latencies move cycle counts in the right
-// direction, stall collection is observation-only, and machine sizes
-// leave results (not timings) invariant.
+// Properties that must hold across the configuration space: observing a
+// run through a trace sink never changes it, latencies move cycle counts
+// in the right direction, stall collection is observation-only, and
+// machine sizes leave results (not timings) invariant.
 //
 //===----------------------------------------------------------------------===//
 
 #include "asm/Assembler.h"
+#include "obs/Perfetto.h"
 #include "sim/Machine.h"
 #include "workloads/MatMul.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -28,16 +31,22 @@ struct Outcome {
   uint64_t Retired;
   uint64_t Hash;
   uint32_t Z00;
+  std::vector<TraceDigest> Digests;
 };
 
-Outcome run(const MatMulSpec &Spec, SimConfig Cfg) {
+/// Runs the matmul under \p Cfg, with \p Sink attached when given.
+Outcome run(const MatMulSpec &Spec, SimConfig Cfg,
+            TraceSink *Sink = nullptr) {
   assembler::AsmResult R = assembler::assemble(buildMatMulProgram(Spec));
   EXPECT_TRUE(R.succeeded()) << R.errorText();
   Machine M(Cfg);
+  if (Sink)
+    M.addTraceSink(Sink);
   M.load(R.Prog);
   EXPECT_EQ(M.run(100000000), RunStatus::Exited) << M.faultMessage();
   return {M.cycles(), M.retired(), M.traceHash(),
-          M.debugReadWord(zElementAddress(Spec, 0, 0))};
+          M.debugReadWord(zElementAddress(Spec, 0, 0)),
+          M.trace().digestEntries()};
 }
 
 SimConfig cfgFor(const MatMulSpec &Spec) {
@@ -47,15 +56,25 @@ SimConfig cfgFor(const MatMulSpec &Spec) {
 }
 
 TEST(SimConfig_, ObservationKnobsDoNotPerturbTheRun) {
+  // A sink writing every event and the stall tallies move neither the
+  // fingerprint nor the interval digests.
   MatMulSpec Spec = MatMulSpec::paper(16, MatMulVersion::Base);
   SimConfig Plain = cfgFor(Spec);
   SimConfig Observed = Plain;
-  Observed.RecordTrace = true;
   Observed.CollectStallStats = true;
+  std::ostringstream Lines;
+  obs::JsonlSink Sink(Lines);
   Outcome A = run(Spec, Plain);
-  Outcome B = run(Spec, Observed);
+  Outcome B = run(Spec, Observed, &Sink);
+  EXPECT_NE(Lines.str().find("\"kind\":\"commit\""), std::string::npos);
   EXPECT_EQ(A.Cycles, B.Cycles);
   EXPECT_EQ(A.Hash, B.Hash) << "observation must not change the machine";
+  ASSERT_FALSE(A.Digests.empty());
+  ASSERT_EQ(A.Digests.size(), B.Digests.size());
+  for (size_t I = 0; I != A.Digests.size(); ++I) {
+    EXPECT_EQ(A.Digests[I].Boundary, B.Digests[I].Boundary);
+    EXPECT_EQ(A.Digests[I].Hash, B.Digests[I].Hash);
+  }
 }
 
 TEST(SimConfig_, SlowerMemoryMeansMoreCyclesNeverFewer) {

@@ -12,10 +12,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "asm/Assembler.h"
+#include "obs/Perfetto.h"
 #include "romp/Runtime.h"
 #include "sim/Machine.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -277,10 +280,8 @@ main:
 }
 
 TEST(MachineEdge, RecordedTraceTellsThePaperStory) {
-  // RecordTrace reproduces statements like the paper's "at cycle C,
-  // core X, hart H sends a memory request...".
-  SimConfig Cfg = SimConfig::lbp(1);
-  Cfg.RecordTrace = true;
+  // A JSON-lines sink reproduces statements like the paper's "at cycle
+  // C, core X, hart H sends a memory request...".
   assembler::AsmResult R = assembler::assemble(R"(
 main:
     li a0, 9
@@ -292,18 +293,22 @@ main:
     p_ret
 )");
   ASSERT_TRUE(R.succeeded());
-  Machine M(Cfg);
+  Machine M(SimConfig::lbp(1));
+  std::ostringstream Out;
+  obs::JsonlSink Sink(Out);
+  M.addTraceSink(&Sink);
   M.load(R.Prog);
   ASSERT_EQ(M.run(10000), RunStatus::Exited);
   bool SawCommit = false, SawWrite = false, SawExit = false;
-  for (const std::string &Line : M.trace().lines()) {
-    if (Line.find("commit") != std::string::npos)
+  std::istringstream Lines(Out.str());
+  for (std::string Line; std::getline(Lines, Line);) {
+    if (Line.find("\"commit\"") != std::string::npos)
       SawCommit = true;
-    if (Line.find("bank-write") != std::string::npos)
+    if (Line.find("\"bank-write\"") != std::string::npos)
       SawWrite = true;
-    if (Line.find("exit") != std::string::npos)
+    if (Line.find("\"exit\"") != std::string::npos)
       SawExit = true;
-    EXPECT_EQ(Line.rfind("cycle ", 0), 0u) << Line;
+    EXPECT_EQ(Line.rfind("{\"cycle\":", 0), 0u) << Line;
   }
   EXPECT_TRUE(SawCommit);
   EXPECT_TRUE(SawWrite);

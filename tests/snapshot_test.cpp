@@ -10,7 +10,8 @@
 // fingerprint — RunStatus, cycle count, retired count, trace hash chain,
 // fault message, machine-check list and the canonical counter snapshot —
 // of the run that was never interrupted. Swept across both engines
-// (reference loop and fast path), through open fault-injection windows and through the X_PAR fork/join
+// (reference loop and fast path), with and without stall tallies,
+// through open fault-injection windows and through the X_PAR fork/join
 // handshake, because those are exactly the states a fleet worker dies
 // in. Also: save -> restore -> save is byte-identical (the blob is a
 // pure function of machine state), and malformed blobs are rejected
@@ -43,20 +44,32 @@ using namespace lbp::sim;
 
 namespace {
 
-/// One engine cell of the sweep.
+/// One engine cell of the sweep. Stall tallies (CollectStallStats) go
+/// into the counter snapshot, and the fast path credits a sleeping
+/// core's cycles from state a restore derives, so they get cells too.
 struct EngineCell {
   const char *Name;
   bool FastPath;
+  bool Stalls;
 };
 constexpr EngineCell Cells[] = {
-    {"reference", false},
-    {"fastpath", true},
+    {"reference", false, false},
+    {"fastpath", true, false},
+    {"reference+stalls", false, true},
+    {"fastpath+stalls", true, true},
 };
 
 SimConfig cellConfig(SimConfig Cfg, const EngineCell &C) {
   Cfg.FastPath = C.FastPath;
   Cfg.CollectCounters = true;
+  Cfg.CollectStallStats = C.Stalls;
   return Cfg;
+}
+
+/// Whether a blob saved in cell \p From restores in cell \p To: the
+/// config digest covers CollectStallStats but not FastPath.
+bool portable(const EngineCell &From, const EngineCell &To) {
+  return From.Stalls == To.Stalls;
 }
 
 /// The full observable outcome of a finished run.
@@ -192,6 +205,8 @@ TEST(Snapshot, ResumeMatMulMidRunAcrossEngines) {
       std::vector<uint8_t> Blob;
       First.saveSnapshot(Blob);
       for (const EngineCell &To : Cells) {
+        if (!portable(From, To))
+          continue;
         Machine Second(cellConfig(Base, To));
         std::string Err;
         ASSERT_TRUE(Second.restoreSnapshot(Blob, Err)) << Err;
@@ -225,6 +240,8 @@ TEST(Snapshot, BlobIsPortableAcrossEngines) {
   assembler::Program Prog = assembleOrDie(phasesSrc());
   for (const EngineCell &From : Cells) {
     for (const EngineCell &To : Cells) {
+      if (!portable(From, To))
+        continue;
       SimConfig FromCfg = cellConfig(SimConfig::lbp(4), From);
       SimConfig ToCfg = cellConfig(SimConfig::lbp(4), To);
       expectResumeIdentical(Prog, FromCfg, ToCfg, /*SnapAt=*/97,
@@ -275,12 +292,49 @@ TEST(Snapshot, ResumeMidQuiescentSpin) {
   // either engine, including back to a fast-path run that rebuilds its
   // sleep schedule from the restored wake cycles.
   assembler::Program Prog = assembleOrDie(spinSrc());
-  SimConfig Fast = cellConfig(SimConfig::lbp(4), Cells[1]); // fastpath
-  for (const EngineCell &To : Cells) {
-    SimConfig ToCfg = cellConfig(SimConfig::lbp(4), To);
-    for (uint64_t SnapAt : {150ull, 731ull, 1500ull})
-      expectResumeIdentical(Prog, Fast, ToCfg, SnapAt,
-                            std::string("midspin/fastpath->") + To.Name);
+  for (const EngineCell &From : Cells) {
+    if (!From.FastPath)
+      continue;
+    SimConfig Fast = cellConfig(SimConfig::lbp(4), From);
+    for (const EngineCell &To : Cells) {
+      if (!portable(From, To))
+        continue;
+      SimConfig ToCfg = cellConfig(SimConfig::lbp(4), To);
+      for (uint64_t SnapAt : {150ull, 731ull, 1500ull})
+        expectResumeIdentical(Prog, Fast, ToCfg, SnapAt,
+                              std::string("midspin/") + From.Name + "->" +
+                                  To.Name);
+    }
+  }
+}
+
+TEST(Snapshot, StallTalliesResumeAtEveryCycle) {
+  // Dependent divisions: the core sleeps through each 16-cycle divide,
+  // its ready work blocked behind the one result buffer. A snapshot at
+  // any cycle must leave the restored machine crediting the cycles the
+  // core still sleeps through to the cause the uninterrupted run gives
+  // them, so restore re-derives that cause from the saved state.
+  assembler::Program Prog = assembleOrDie(R"(
+main:
+    li a0, 1000000000
+    li a1, 3
+    div a2, a0, a1
+    div a3, a2, a1
+    div a4, a3, a1
+    li ra, 0
+    li t0, -1
+    p_ret
+)");
+  for (const EngineCell &C : Cells) {
+    if (!C.Stalls)
+      continue;
+    SimConfig Cfg = cellConfig(SimConfig::lbp(1), C);
+    Machine Full(Cfg);
+    Full.load(Prog);
+    ASSERT_EQ(Full.run(), RunStatus::Exited) << C.Name;
+    for (uint64_t SnapAt = 1; SnapAt < Full.cycles(); ++SnapAt)
+      expectResumeIdentical(Prog, Cfg, Cfg, SnapAt,
+                            std::string("divisions/") + C.Name);
   }
 }
 
@@ -522,10 +576,9 @@ TEST(Snapshot, RejectsBadMagicVersionDigestAndTruncation) {
     EXPECT_FALSE(R.restoreSnapshot(Blob, Err));
     EXPECT_NE(Err.find("digest"), std::string::npos) << Err;
   }
-  { // Host-only knobs do NOT change the digest.
+  { // The host-only FastPath does NOT change the digest.
     SimConfig Host = Cfg;
     Host.FastPath = !Host.FastPath;
-    Host.RecordTrace = true;
     EXPECT_EQ(snapshotConfigDigest(Host), snapshotConfigDigest(Cfg));
   }
   { // Truncation at every prefix length of the tail must fail cleanly.
