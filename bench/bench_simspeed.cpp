@@ -20,10 +20,10 @@
 //
 // With --counters the bench additionally measures the observability
 // layer's cost (docs/OBSERVABILITY.md): the barrier workload runs with
-// SimConfig::CollectCounters off and on, and with interval digests off
-// and on. The trace hashes must match (both are hash-neutral by
-// construction), the steady-state allocation property must hold with
-// each armed, and the overheads are recorded in the JSON.
+// SimConfig::CollectCounters off and on. The trace hashes must match
+// (the counters are hash-neutral by construction), the steady-state
+// allocation property must hold with them armed, and the overhead is
+// recorded in the JSON.
 //
 // Every pass/fail property is a gate, evaluated before the JSON is
 // written and listed in its "gates" array; "exit_reason" names the first
@@ -389,8 +389,8 @@ WorkloadResult benchMatMul(const Options &Opt, unsigned Harts,
 /// rounds), then counts heap allocations over the rest of the run. The
 /// engines promise zero: the delivery wheel's node pool grows only to
 /// the peak number of in-flight deliveries and then reuses freed nodes,
-/// and DueBuf, the overflow heap, the trace, the counter sink and the
-/// digest ring are capacity-reusing flat structures.
+/// and DueBuf, the overflow heap, the trace and the counter sink are
+/// capacity-reusing flat structures.
 uint64_t steadyStateAllocs(const assembler::Program &Prog,
                            const sim::SimConfig &Cfg, unsigned Harts) {
   // Full run once to learn the total cycle count.
@@ -485,7 +485,7 @@ void writeKnob(std::FILE *F, const char *Key, const KnobCost &C) {
 void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
                const std::vector<Gate> &Gates, const std::string &ExitReason,
                uint64_t RefAllocs, uint64_t FastAllocs,
-               const KnobCost *Counters, const KnobCost *Digests) {
+               const KnobCost *Counters) {
   std::FILE *F = std::fopen(Opt.OutPath.c_str(), "w");
   if (!F)
     die("cannot open the JSON output file");
@@ -532,8 +532,6 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
                static_cast<unsigned long long>(FastAllocs));
   if (Counters)
     writeKnob(F, "counters", *Counters);
-  if (Digests)
-    writeKnob(F, "digests", *Digests);
   std::fprintf(F, "  \"workloads\": [\n");
   for (size_t I = 0; I != Results.size(); ++I) {
     const WorkloadResult &W = Results[I];
@@ -583,9 +581,8 @@ void printUsage(const char *Argv0) {
       "  --engines LIST   comma-separated subset of reference,fastpath\n"
       "                   (default both)\n"
       "  --counters       also measure the deterministic counter set's\n"
-      "                   and the interval-digest ring's overhead\n"
-      "                   (hash-neutrality and steady-state allocation\n"
-      "                   gated; docs/OBSERVABILITY.md)\n"
+      "                   overhead (hash-neutrality and steady-state\n"
+      "                   allocation gated; docs/OBSERVABILITY.md)\n"
       "  --perturb N      arm SimConfig::PerturbForTest at cycle N so the\n"
       "                   differential diverges on purpose; the\n"
       "                   divergence records then embed triage reports\n"
@@ -680,15 +677,11 @@ int main(int argc, char **argv) {
         benchMatMul(Opt, 256, workloads::MatMulVersion::Tiled));
   }
 
-  KnobCost Counters, Digests;
-  if (Opt.Counters) {
+  KnobCost Counters;
+  if (Opt.Counters)
     Counters = benchKnob(Opt, "counters", [](sim::SimConfig &C, bool On) {
       C.CollectCounters = On;
     });
-    Digests = benchKnob(Opt, "digests", [](sim::SimConfig &C, bool On) {
-      C.DigestInterval = On ? 4096 : 0;
-    });
-  }
 
   // Every gate is evaluated here, before the JSON is written, so the
   // file and the exit status always tell the same story.
@@ -707,15 +700,6 @@ int main(int argc, char **argv) {
                      Counters.HashIdentical ? 0.0 : 1.0, 0, false});
     Gates.push_back({"counters-steady-state-allocs",
                      static_cast<double>(Counters.SteadyAllocs), 0, false});
-    Gates.push_back({"digests-hash-changed",
-                     Digests.HashIdentical ? 0.0 : 1.0, 0, false});
-    Gates.push_back({"digests-steady-state-allocs",
-                     static_cast<double>(Digests.SteadyAllocs), 0, false});
-    // Host noise dominates the small quick-mode runs, so the overhead
-    // budget is gated in full mode only.
-    if (!Opt.Quick)
-      Gates.push_back({"digests-overhead-pct", Digests.OverheadPct, 1.0,
-                       false});
   }
   std::string ExitReason = "ok";
   for (const Gate &G : Gates) {
@@ -730,7 +714,6 @@ int main(int argc, char **argv) {
   }
 
   writeJson(Opt, Results, Gates, ExitReason, RefAllocs, FastAllocs,
-            Opt.Counters ? &Counters : nullptr,
-            Opt.Counters ? &Digests : nullptr);
+            Opt.Counters ? &Counters : nullptr);
   return ExitReason == "ok" ? 0 : 1;
 }

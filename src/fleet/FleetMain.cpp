@@ -9,8 +9,12 @@
 /// processes and emit the canonical aggregate report.
 ///
 ///   lbp_fleet [options]
-///     --workload W         phases | matmul | pipeline (default phases)
-///     --asm FILE.s         assembly file instead of a workload
+///     --workload W         phases | matmul | pipeline (default phases);
+///                          the programs lbp_prof and lbp_triage run
+///                          (obs/ToolInput.h)
+///     --asm FILE           program file instead of a workload:
+///                          assembly by its .s/.asm suffix, else
+///                          Det-C source
 ///     --cores N            machine size per run, 1..64 (default 4)
 ///     --runs N             queue length, 1..1000000 (default 4)
 ///     --seed-base N        run i uses fault seed N + i (default 1)
@@ -55,18 +59,14 @@
 #include "fleet/Fleet.h"
 
 #include "asm/Assembler.h"
+#include "obs/ToolInput.h"
 #include "obs/Triage.h"
 #include "support/StringUtils.h"
-#include "workloads/MatMul.h"
-#include "workloads/Phases.h"
-#include "workloads/Pipeline.h"
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 
 using namespace lbp;
 
@@ -98,7 +98,7 @@ struct EngineVariant {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: lbp_fleet [--workload phases|matmul|pipeline] [--asm F.s]\n"
+      "usage: lbp_fleet [--workload %s] [--asm FILE]\n"
       "  --cores N  --runs N  --seed-base N\n"
       "  --drops N  --delays N  --flips N  --stuck N\n"
       "  --engine reference|fast  --deadline-cycles N\n"
@@ -107,7 +107,8 @@ int usage() {
       "  --wall-timeout-ms N  --inject-crash I  --inject-hang I\n"
       "  --cross-check reference,fast  --perturb N\n"
       "  --out FILE  --strict\n"
-      "See docs/ROBUSTNESS.md (\"Fleet failure taxonomy\").\n");
+      "See docs/ROBUSTNESS.md (\"Fleet failure taxonomy\").\n",
+      obs::WorkloadNames);
   return 2;
 }
 
@@ -191,37 +192,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
   return true;
 }
 
-std::string buildAsmText(const Options &O, std::string &Err) {
-  if (!O.AsmFile.empty()) {
-    std::ifstream In(O.AsmFile);
-    if (!In) {
-      Err = "cannot open '" + O.AsmFile + "'";
-      return std::string();
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    return SS.str();
-  }
-  if (O.Workload == "phases") {
-    workloads::PhasesSpec S;
-    S.NumHarts = O.Cores * sim::HartsPerCore;
-    return workloads::buildPhasesProgram(S);
-  }
-  if (O.Workload == "matmul") {
-    workloads::MatMulSpec S;
-    S.NumHarts = O.Cores * sim::HartsPerCore;
-    S.Version = workloads::MatMulVersion::Distributed;
-    return workloads::buildMatMulProgram(S);
-  }
-  if (O.Workload == "pipeline") {
-    workloads::PipelineSpec S;
-    S.Stages = std::min(O.Cores * sim::HartsPerCore, 8u);
-    return workloads::buildPipelineProgram(S);
-  }
-  Err = "unknown workload '" + O.Workload + "'";
-  return std::string();
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -230,7 +200,8 @@ int main(int Argc, char **Argv) {
     return usage();
 
   std::string Err;
-  std::string Asm = buildAsmText(O, Err);
+  std::string Asm = obs::loadAsmText(
+      O.AsmFile, O.AsmFile.empty() ? O.Workload : std::string(), O.Cores, Err);
   if (Asm.empty()) {
     std::fprintf(stderr, "lbp_fleet: %s\n", Err.c_str());
     return 2;

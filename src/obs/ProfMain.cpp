@@ -26,10 +26,10 @@
 ///     --perfetto OUT.json  write a Chrome/Perfetto timeline
 ///     --jsonl OUT.jsonl    write the raw event stream as JSON lines
 ///     --counters OUT.json  write the canonical counter snapshot
-///     --digests            print the interval-digest ring (newest
-///                          entries of the running trace-hash chain;
-///                          docs/OBSERVABILITY.md "Divergence triage")
-///     --digest-interval N  override the digest stride (0 keeps the
+///     --digests            print the interval digests (the running
+///                          trace-hash chain at every boundary;
+///                          docs/OBSERVABILITY.md "Interval digests")
+///     --digest-interval N  digest stride (default 4096; 0 keeps the
 ///                          default)
 ///
 /// Every numeric flag is range-checked at parse time; a negative,
@@ -44,6 +44,7 @@
 #include "obs/Perfetto.h"
 #include "obs/Report.h"
 #include "obs/ToolInput.h"
+#include "obs/Triage.h"
 #include "sim/Machine.h"
 #include "support/StringUtils.h"
 
@@ -69,8 +70,8 @@ struct Options {
   uint64_t MaxCycles = 100000000;
   uint64_t Seed = 0;
   unsigned Drops = 0, Delays = 0, Flips = 0;
-  bool Digests = false;          ///< Print the interval-digest ring.
-  uint64_t DigestInterval = 0;   ///< Override stride; 0 keeps default.
+  bool Digests = false;          ///< Print the interval digests.
+  uint64_t DigestInterval = 4096;
 };
 
 int usage() {
@@ -153,6 +154,8 @@ int main(int Argc, char **Argv) {
       if (!parseFlagInteger(Tool, Argc, Argv, I, 0, NoLimit,
                             Opts.DigestInterval))
         return usage();
+      if (Opts.DigestInterval == 0) // keeps the default
+        Opts.DigestInterval = Options().DigestInterval;
     } else if (A == "--help" || A == "-h") {
       usage();
       return 0;
@@ -186,8 +189,6 @@ int main(int Argc, char **Argv) {
   Cfg.FastPath = Opts.FastPath;
   Cfg.CollectCounters = true;
   Cfg.CollectStallStats = Opts.Stalls;
-  if (Opts.DigestInterval != 0)
-    Cfg.DigestInterval = Opts.DigestInterval;
   Cfg.Faults.Seed = Opts.Seed;
   Cfg.Faults.Drops = Opts.Drops;
   Cfg.Faults.Delays = Opts.Delays;
@@ -201,6 +202,7 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<obs::JsonlSink> Jsonl;
   obs::PhaseProfiler Phases;
   M.addTraceSink(&Phases);
+  obs::DigestSink Digests(M, Opts.DigestInterval);
   if (!Opts.PerfettoOut.empty()) {
     PerfettoFile.open(Opts.PerfettoOut);
     if (!PerfettoFile) {
@@ -224,6 +226,7 @@ int main(int Argc, char **Argv) {
 
   M.load(AR.Prog);
   sim::RunStatus St = M.run(Opts.MaxCycles);
+  Digests.finish(M.cycles());
   if (Perfetto)
     Perfetto->finish(M.cycles());
 
@@ -232,18 +235,13 @@ int main(int Argc, char **Argv) {
   std::fputs(obs::buildReport(M, &Phases, ROpts).c_str(), stdout);
 
   if (Opts.Digests) {
-    const sim::Trace &Tr = M.trace();
-    std::printf("\ninterval digests (interval %llu, ring cap %u, "
-                "%llu recorded):\n",
-                static_cast<unsigned long long>(Tr.digestInterval()),
-                Tr.digestRingCap(),
-                static_cast<unsigned long long>(Tr.digestCount()));
-    if (Tr.digestInterval() == 0)
-      std::printf("  digesting disabled (interval 0)\n");
-    else if (Tr.digestCount() == 0)
+    std::printf("\ninterval digests (interval %llu, %zu recorded):\n",
+                static_cast<unsigned long long>(Digests.interval()),
+                Digests.digests().size());
+    if (Digests.digests().empty())
       std::printf("  no boundary crossed (run shorter than the "
                   "interval)\n");
-    for (const sim::TraceDigest &D : Tr.digestEntries())
+    for (const obs::DigestSink::Digest &D : Digests.digests())
       std::printf("  @%-12llu 0x%016llx\n",
                   static_cast<unsigned long long>(D.Boundary),
                   static_cast<unsigned long long>(D.Hash));
@@ -256,17 +254,24 @@ int main(int Argc, char **Argv) {
                    Opts.CountersOut.c_str());
       return 2;
     }
-    // The counter snapshot, wrapped with run metadata: which engine
+    // The counter snapshot, wrapped with run metadata (which engine
     // executed and the terminal message — for a livelock, the per-hart
-    // wait report.
+    // wait report) and the interval digests.
     Out << "{\n  \"meta\": {\"engine\": \"" << jsonEscape(M.engineName())
         << "\", \"status\": \"" << sim::runStatusName(St)
         << "\", \"message\": \"" << jsonEscape(M.faultMessage())
-        << "\",\n           \"digest_interval\": "
-        << M.trace().digestInterval()
-        << ", \"digest_ring_cap\": " << M.trace().digestRingCap()
-        << ", \"digest_count\": " << M.trace().digestCount()
-        << "},\n  \"counters\": " << obs::countersToJson(M) << "}\n";
+        << "\",\n           \"digest_interval\": " << Digests.interval()
+        << ", \"digest_count\": " << Digests.digests().size()
+        << "},\n  \"digests\": [";
+    const char *Sep = "";
+    for (const obs::DigestSink::Digest &D : Digests.digests()) {
+      Out << Sep
+          << formatString("{\"boundary\":%llu,\"hash\":\"0x%016llx\"}",
+                          static_cast<unsigned long long>(D.Boundary),
+                          static_cast<unsigned long long>(D.Hash));
+      Sep = ",";
+    }
+    Out << "],\n  \"counters\": " << obs::countersToJson(M) << "}\n";
   }
   return St == sim::RunStatus::Exited ? 0 : 1;
 }

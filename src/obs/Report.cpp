@@ -138,30 +138,6 @@ std::string obs::countersToJson(const Machine &M) {
   appendArrayField(J, "bank_port_wait", BWait);
   J += '}';
 
-  // Interval digests (docs/OBSERVABILITY.md "Divergence triage").
-  // Omitted entirely when digesting is off so pre-digest consumers see
-  // an unchanged document.
-  const sim::Trace &Tr = M.trace();
-  if (Tr.digestInterval() != 0) {
-    J += ",\"digests\":{";
-    appendField(J, "interval", Tr.digestInterval());
-    J += ',';
-    appendField(J, "ring_cap", Tr.digestRingCap());
-    J += ',';
-    appendField(J, "count", Tr.digestCount());
-    J += ",\"ring\":[";
-    bool First = true;
-    for (const sim::TraceDigest &D : Tr.digestEntries()) {
-      if (!First)
-        J += ',';
-      First = false;
-      J += formatString("{\"boundary\":%llu,\"hash\":\"0x%016llx\"}",
-                        static_cast<unsigned long long>(D.Boundary),
-                        static_cast<unsigned long long>(D.Hash));
-    }
-    J += "]}";
-  }
-
   const PerfCounters &PC = M.counters();
   if (PC.enabled()) {
     J += ",\"counters\":{";

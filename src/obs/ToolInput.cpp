@@ -1,4 +1,4 @@
-//===- obs/ToolInput.cpp - The program lbp_prof and lbp_triage run --------===//
+//===- obs/ToolInput.cpp - The program a tool runs ------------------------===//
 //
 // Part of the LBP reproduction project.
 //
@@ -32,9 +32,15 @@ std::string obs::loadAsmText(const std::string &Input,
       S.NumHarts = Cores * sim::HartsPerCore;
       return workloads::buildPhasesProgram(S);
     }
-    if (Workload == "matmul")
-      return workloads::buildMatMulProgram(workloads::MatMulSpec::paper(
-          Cores * sim::HartsPerCore, workloads::MatMulVersion::Distributed));
+    if (Workload == "matmul") {
+      // Laid out for the banks the tools simulate (SimConfig::lbp), so
+      // each bank holds its share of the distributed matrices.
+      workloads::MatMulSpec S;
+      S.NumHarts = Cores * sim::HartsPerCore;
+      S.Version = workloads::MatMulVersion::Distributed;
+      S.BankSizeLog2 = sim::SimConfig::lbp(Cores).GlobalBankSizeLog2;
+      return workloads::buildMatMulProgram(S);
+    }
     if (Workload == "pipeline")
       return workloads::buildPipelineProgram({});
     Err = "unknown workload '" + Workload + "'";

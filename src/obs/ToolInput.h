@@ -1,4 +1,4 @@
-//===- obs/ToolInput.h - The program lbp_prof and lbp_triage run ----------===//
+//===- obs/ToolInput.h - The program a tool runs --------------------------===//
 //
 // Part of the LBP reproduction project.
 //
@@ -7,8 +7,9 @@
 /// \file
 /// Turns a tool's program argument into assembly text: a file (Det-C
 /// source through the frontend, or assembly by its .s/.asm suffix; "-"
-/// reads stdin) or a built-in workload. Compiled into both lbp_prof and
-/// lbp_triage, so the two tools accept the same programs.
+/// reads stdin) or a built-in workload. Compiled into lbp_prof,
+/// lbp_triage and lbp_fleet, so the three tools accept the same programs
+/// and run one program per workload name.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -17,17 +17,28 @@ using sim::EventKind;
 using sim::Machine;
 using sim::SimConfig;
 
-namespace {
+DigestSink::DigestSink(Machine &M, uint64_t Interval)
+    : Tr(M.trace()), Interval(Interval),
+      Next(Interval == 0 ? UINT64_MAX : (M.cycles() / Interval + 1) * Interval),
+      Before(M.trace().hash()) {
+  M.addTraceSink(this);
+}
 
-/// Captures every digest boundary of a run — the bounded ring keeps
-/// only the newest entries, but a sink sees them all.
-struct DigestCaptureSink : sim::TraceSink {
-  std::vector<sim::TraceDigest> All;
-  void onEvent(uint64_t, EventKind, uint64_t, uint64_t) override {}
-  void onDigest(uint64_t Boundary, uint64_t Hash) override {
-    All.push_back({Boundary, Hash});
-  }
-};
+void DigestSink::record(uint64_t Cycle, uint64_t Hash) {
+  for (; Next <= Cycle; Next += Interval)
+    All.push_back({Next, Hash});
+}
+
+void DigestSink::onEvent(uint64_t Cycle, EventKind, uint64_t, uint64_t) {
+  // The trace has folded this event already: the boundaries it crosses
+  // take the hash from before it.
+  record(Cycle, Before);
+  Before = Tr.hash();
+}
+
+void DigestSink::finish(uint64_t Cycle) { record(Cycle, Tr.hash()); }
+
+namespace {
 
 /// Captures the canonical event stream of a replayed window.
 struct EventCaptureSink : sim::TraceSink {
@@ -46,7 +57,6 @@ void fillSide(TriageSideResult &Out, const TriageRunSpec &Spec,
   Out.Cycles = M.cycles();
   Out.Retired = M.retired();
   Out.TraceHash = M.traceHash();
-  Out.DigestCount = M.trace().digestCount();
 }
 
 } // namespace
@@ -96,29 +106,22 @@ TriageResult obs::triageDivergence(const assembler::Program &Prog,
                                    const TriageRunSpec &B,
                                    const TriageOptions &Opts) {
   TriageResult R;
-
-  // Both sides must digest at the same stride for the bisection to
-  // compare like with like; default it in when a side has it off.
-  TriageRunSpec Sides[2] = {A, B};
-  uint64_t D = Sides[0].Cfg.DigestInterval != 0 ? Sides[0].Cfg.DigestInterval
-               : Sides[1].Cfg.DigestInterval != 0
-                   ? Sides[1].Cfg.DigestInterval
-                   : 4096;
-  Sides[0].Cfg.DigestInterval = D;
-  Sides[1].Cfg.DigestInterval = D;
+  const TriageRunSpec *Sides[2] = {&A, &B};
+  const uint64_t D = Opts.DigestInterval;
   R.DigestInterval = D;
-  R.BankSizeLog2 = Sides[0].Cfg.GlobalBankSizeLog2;
+  R.BankSizeLog2 = A.Cfg.GlobalBankSizeLog2;
 
   // -- Phase 1: full runs with complete digest capture -----------------
-  std::vector<sim::TraceDigest> Digests[2];
+  std::vector<DigestSink::Digest> Digests[2];
   for (int S = 0; S != 2; ++S) {
-    Machine M(Sides[S].Cfg);
-    DigestCaptureSink DS;
-    M.addTraceSink(&DS);
+    Machine M(Sides[S]->Cfg);
+    DigestSink DS(M, D);
     M.load(Prog);
     sim::RunStatus St = M.run(Opts.MaxCycles);
-    fillSide(R.Side[S], Sides[S], M, St);
-    Digests[S] = std::move(DS.All);
+    DS.finish(M.cycles());
+    fillSide(R.Side[S], *Sides[S], M, St);
+    R.Side[S].DigestCount = DS.digests().size();
+    Digests[S] = DS.digests();
   }
 
   R.Diverged = R.Side[0].TraceHash != R.Side[1].TraceHash ||
@@ -152,7 +155,7 @@ TriageResult obs::triageDivergence(const assembler::Program &Prog,
   // -- Phase 3: snapshot-anchored replay with event capture ------------
   std::vector<TriageEvent> Streams[2];
   for (int S = 0; S != 2; ++S) {
-    Machine M1(Sides[S].Cfg);
+    Machine M1(Sides[S]->Cfg);
     M1.load(Prog);
     if (R.SnapshotCycle != 0) {
       sim::RunStatus St = M1.run(R.SnapshotCycle);
@@ -161,7 +164,7 @@ TriageResult obs::triageDivergence(const assembler::Program &Prog,
         R.Error = formatString(
             "side '%s' could not reach the snapshot anchor (cycle %llu): "
             "run stopped at %llu (%s)",
-            Sides[S].Name.c_str(),
+            Sides[S]->Name.c_str(),
             static_cast<unsigned long long>(R.SnapshotCycle),
             static_cast<unsigned long long>(M1.cycles()),
             sim::runStatusName(St));
@@ -173,13 +176,13 @@ TriageResult obs::triageDivergence(const assembler::Program &Prog,
 
     // The blob carries the code image, so the replay machine is never
     // load()ed — the capture sink sees exactly the post-anchor stream.
-    Machine M2(Sides[S].Cfg);
+    Machine M2(Sides[S]->Cfg);
     EventCaptureSink Cap;
     M2.addTraceSink(&Cap);
     std::string Err;
     if (!M2.restoreSnapshot(Blob, Err)) {
       R.Error = formatString("side '%s' snapshot restore failed: %s",
-                             Sides[S].Name.c_str(), Err.c_str());
+                             Sides[S]->Name.c_str(), Err.c_str());
       return R;
     }
     M2.run(R.WindowCycles);

@@ -11,13 +11,13 @@
 /// engine or fault plan may differ — the triager:
 ///
 ///   1. runs both sides once, capturing the full interval-digest
-///      sequence (Trace::configureDigests) through a TraceSink;
+///      sequence through a DigestSink;
 ///   2. compares the digest sequences to find the last boundary at
 ///      which the hash chains still agree;
 ///   3. re-runs each side to one cycle before that boundary, snapshots
 ///      it (sim/Snapshot), restores the snapshot into a fresh machine
 ///      with full event capture attached, and replays a window of at
-///      most 2 * DigestInterval cycles;
+///      most 2 * TriageOptions::DigestInterval cycles;
 ///   4. compares the captured canonical event streams index by index
 ///      and reports the first divergent trace event — cycle, core,
 ///      hart, kind, operands — plus a K-event context window from each
@@ -48,6 +48,49 @@ class Program;
 
 namespace obs {
 
+/// Interval digests of a run (docs/OBSERVABILITY.md "Interval
+/// digests"): at every multiple of the interval, the running trace hash
+/// after every event before that cycle and before any event at or past
+/// it. Like every sink it only reads, so it is hash-neutral; it keeps
+/// every boundary.
+class DigestSink : public sim::TraceSink {
+public:
+  struct Digest {
+    uint64_t Boundary = 0;
+    uint64_t Hash = 0;
+  };
+
+  /// Attaches to \p M and records the multiples of \p Interval past the
+  /// machine's current cycle, so a sink attached after a snapshot
+  /// restore continues the run's sequence. \p Interval == 0 records
+  /// nothing.
+  DigestSink(sim::Machine &M, uint64_t Interval);
+  DigestSink(const DigestSink &) = delete;
+  DigestSink &operator=(const DigestSink &) = delete;
+
+  void onEvent(uint64_t Cycle, sim::EventKind Kind, uint64_t A,
+               uint64_t B) override;
+
+  /// Records every boundary <= \p Cycle not recorded yet; call it with
+  /// cycles() after each run(). Every event the machine folds later is
+  /// past \p Cycle, so these are the values a longer run records when
+  /// its next event arrives, and a run in chunks records the same
+  /// sequence as a straight one.
+  void finish(uint64_t Cycle);
+
+  uint64_t interval() const { return Interval; }
+  const std::vector<Digest> &digests() const { return All; }
+
+private:
+  void record(uint64_t Cycle, uint64_t Hash);
+
+  const sim::Trace &Tr;
+  uint64_t Interval;
+  uint64_t Next;   ///< Smallest boundary not recorded yet.
+  uint64_t Before; ///< The hash before the event being delivered.
+  std::vector<Digest> All;
+};
+
 /// One side of a divergence: a label plus the full machine config.
 /// The host-side engine choice (FastPath) is the usual suspect;
 /// behavior knobs (fault plan, PerturbForTest) are allowed to differ
@@ -58,6 +101,10 @@ struct TriageRunSpec {
 };
 
 struct TriageOptions {
+  /// Digest stride in cycles, >= 1: the bisection's resolution and half
+  /// the replay window.
+  uint64_t DigestInterval = 4096;
+
   /// Events of leading and trailing context captured around the first
   /// divergent event, per side.
   unsigned ContextEvents = 8;
@@ -128,7 +175,7 @@ struct TriageResult {
   uint64_t LastAgreeHash = 0;
 
   /// Replay anchoring: machines were snapshotted at SnapshotCycle and
-  /// replayed for WindowCycles (<= 2 * DigestInterval).
+  /// replayed for WindowCycles (2 * DigestInterval).
   uint64_t SnapshotCycle = 0;
   uint64_t WindowCycles = 0;
 
@@ -139,8 +186,7 @@ struct TriageResult {
 };
 
 /// Runs the whole pipeline. \p Prog must already be assembled; both
-/// sides load it unmodified. Digesting is forced on for triage: a side
-/// whose config has DigestInterval == 0 gets the default interval.
+/// sides load it unmodified and digest at Opts.DigestInterval.
 TriageResult triageDivergence(const assembler::Program &Prog,
                               const TriageRunSpec &A,
                               const TriageRunSpec &B,

@@ -177,7 +177,6 @@ int main(int Argc, char **Argv) {
   }
 
   sim::SimConfig Base = sim::SimConfig::lbp(Opts.Cores);
-  Base.DigestInterval = Opts.DigestInterval;
   Base.PerturbForTest = Opts.Perturb;
   Base.Faults.Drops = Opts.Drops;
   Base.Faults.Delays = Opts.Delays;
@@ -194,6 +193,7 @@ int main(int Argc, char **Argv) {
   }
 
   obs::TriageOptions TOpts;
+  TOpts.DigestInterval = Opts.DigestInterval;
   TOpts.ContextEvents = Opts.Context;
   TOpts.MaxCycles = Opts.MaxCycles;
   obs::TriageResult R = obs::triageDivergence(AR.Prog, A, B, TOpts);

@@ -37,10 +37,6 @@ constexpr unsigned ResultSlots = 8;
 /// (SimConfig::EnableCheckers; docs/ROBUSTNESS.md).
 constexpr uint64_t CheckInterval = 64;
 
-/// Entries the interval-digest ring keeps (SimConfig::DigestInterval):
-/// the newest ones once more boundaries have been crossed.
-constexpr unsigned DigestRingCap = 64;
-
 /// Deterministic transient-fault injection (docs/ROBUSTNESS.md). Every
 /// fault is drawn from a SplitMix64 stream seeded with \c Seed, so the
 /// same seed on the same configuration reproduces the same fault at the
@@ -151,16 +147,6 @@ struct SimConfig {
   /// read-only observers of the machine state: a fault-free run produces
   /// the same trace hash with them on or off.
   bool EnableCheckers = true;
-
-  /// Interval-digest stride in cycles (docs/OBSERVABILITY.md
-  /// "Divergence triage"): every DigestInterval cycles the running
-  /// order-sensitive trace hash is recorded into a ring of the newest
-  /// DigestRingCap entries (Trace::digestEntries(); Trace::digestCount()
-  /// still reports the total) and offered to sinks. Purely an
-  /// observation of the hash accumulator — provably hash-neutral, the
-  /// fingerprint and final hash are unchanged with digests on or off.
-  /// 0 disables digesting.
-  uint64_t DigestInterval = 4096;
 
   /// Deliberate divergence seed for tests and CI (docs/OBSERVABILITY.md
   /// "Divergence triage"): when nonzero, the first event at or after

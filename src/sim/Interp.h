@@ -45,8 +45,6 @@
 namespace lbp {
 namespace sim {
 
-struct SnapshotAccess;
-
 enum class InterpStatus : uint8_t {
   Exited,      ///< p_ret with ra == 0, t0 == -1.
   MaxSteps,    ///< Budget exhausted.
@@ -78,17 +76,7 @@ public:
 
   uint32_t pc() const { return Pc; }
 
-  /// Checkpointing (sim/Snapshot.h): serializes pc, registers, step
-  /// count, the result mailbox and the written-memory page overlay,
-  /// under the machine blobs' header and trailer. restore targets an
-  /// Interp constructed over the same program; it refuses page bases
-  /// that are unaligned or not strictly ascending. On success execution
-  /// continues exactly where the snapshot was taken.
-  void saveSnapshot(std::vector<uint8_t> &Out) const;
-  bool restoreSnapshot(const std::vector<uint8_t> &Blob, std::string &Err);
-
 private:
-  friend struct SnapshotAccess; // checkpoint serializer (Snapshot.cpp)
   const assembler::Program &Prog;
   uint32_t Pc;
   uint32_t Regs[32] = {0};
@@ -109,7 +97,7 @@ private:
   /// Memoized last-touched page: accesses cluster (stack frames, array
   /// sweeps), so most lookups hit here and skip the binary search.
   /// Page objects are heap-stable (unique_ptr), so inserting into Pages
-  /// never invalidates it; snapshot restore rebuilds Pages and resets it.
+  /// never invalidates it.
   mutable const Page *LastPage = nullptr;
   uint64_t Steps = 0;
 

@@ -29,7 +29,6 @@ Machine::Machine(const SimConfig &Config)
     : Cfg(Config), Mem(Config), Net(Config),
       FPlan(Config.Faults, Config.NumCores), Cores(Config.NumCores),
       WheelSlots(std::make_unique_for_overwrite<WheelSlot[]>(WheelSize)) {
-  Tr.configureDigests(Cfg.DigestInterval);
   StallByCore.assign(Cfg.NumCores * NumStallSlots, 0);
   LastTally.assign(Cfg.NumCores, {});
   CoreWake.assign(Cfg.NumCores, 0);
@@ -1592,7 +1591,8 @@ void Machine::rebuildAwakeSet() {
 }
 
 RunStatus Machine::run(uint64_t MaxCycles) {
-  if (Status == RunStatus::Fault)
+  // A faulted or exited machine has nothing left to simulate.
+  if (Status == RunStatus::Fault || Status == RunStatus::Exited)
     return Status;
   armPerturb();
   Status = RunStatus::MaxCycles;
@@ -1683,7 +1683,6 @@ RunStatus Machine::run(uint64_t MaxCycles) {
       creditStalls(CoreId, CoreId < HaltCore ? Cycle : Cycle - 1);
       LastTally[CoreId].Cycle = Cycle;
     }
-  Tr.flushDigests(Cycle);
   return Status;
 }
 

@@ -121,7 +121,9 @@ public:
   void addDevice(uint32_t Base, uint32_t Size,
                  std::unique_ptr<IoDevice> Device);
 
-  /// Runs until exit, fault, livelock or \p MaxCycles.
+  /// Runs until exit, fault, livelock or \p MaxCycles. A later call
+  /// continues the run; on an exited or faulted machine it returns that
+  /// status at once, without simulating another cycle.
   RunStatus run(uint64_t MaxCycles = UINT64_MAX);
 
   // -- Checkpointing (sim/Snapshot.h; docs/ROBUSTNESS.md) --------------
@@ -325,7 +327,8 @@ private:
   /// while a core is awake, else the earliest timer among the sleepers
   /// (UINT64_MAX when every core waits on a delivery).
   uint64_t nextCoreWakeCycle() const;
-  /// Rebuilds the awake and timer sets from CoreWake (snapshot restore).
+  /// Rebuilds the awake and timer sets from CoreWake (construction and
+  /// snapshot restore, which both mark every core awake).
   void rebuildAwakeSet();
   /// Cycle of the earliest pending delivery strictly after Cycle, or
   /// UINT64_MAX when none is in flight.
@@ -352,7 +355,8 @@ private:
   /// earliest cycle at which a stage on core i could act again. The fast
   /// path runs a core's stages only from that cycle on; deliveries and
   /// hart frees pull it forward. Spurious wakes are harmless (the stages
-  /// no-op and the core re-sleeps); the reference path ignores it.
+  /// no-op and the core re-sleeps); the reference path ignores it, and
+  /// the checkpoint does not store it.
   std::vector<uint64_t> CoreWake;
   /// The fast path's core sets, one bit per core in ceil(NumCores / 64)
   /// words. Awake: the cores whose stages run this cycle, exactly those

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Implements Machine::saveSnapshot / restoreSnapshot and the Interp
-/// pair (format documented in sim/Snapshot.h). One serializer struct —
+/// Implements Machine::saveSnapshot / restoreSnapshot (format
+/// documented in sim/Snapshot.h). One serializer struct —
 /// SnapshotAccess — is friended into every class holding run state, so
 /// the complete field inventory lives in this file and nowhere else.
 /// Each record is described once, over the symmetric archive of
@@ -19,7 +19,6 @@
 
 #include "sim/Snapshot.h"
 
-#include "sim/Interp.h"
 #include "sim/Machine.h"
 #include "support/EventHash.h"
 #include "support/Serialize.h"
@@ -69,10 +68,6 @@ uint64_t lbp::sim::snapshotConfigDigest(const SimConfig &Cfg) {
   H.addWord(Cfg.CollectCounters);
   H.addWord(Cfg.CollectMemLog);
   H.addWord(Cfg.EnableCheckers);
-  // CheckInterval and DigestRingCap were SimConfig fields; they stay
-  // folded in their old places so that every digest, and with it every
-  // blob, keeps its bytes.
-  H.addWord(CheckInterval);
   H.addWord(Cfg.Faults.Seed);
   H.addWord(Cfg.Faults.Drops);
   H.addWord(Cfg.Faults.Delays);
@@ -82,11 +77,8 @@ uint64_t lbp::sim::snapshotConfigDigest(const SimConfig &Cfg) {
   H.addWord(Cfg.Faults.WindowEnd);
   H.addWord(Cfg.Faults.MaxDelay);
   H.addWord(Cfg.Faults.StuckDuration);
-  // The digest ring and the perturb fired-flag are serialized run
-  // state, so their governing knobs must match on restore; PerturbForTest
-  // additionally changes the hash chain itself.
-  H.addWord(Cfg.DigestInterval);
-  H.addWord(DigestRingCap);
+  // PerturbForTest changes the hash chain, and its fired-flag is
+  // serialized run state.
   H.addWord(Cfg.PerturbForTest);
   return H.value();
 }
@@ -333,34 +325,15 @@ struct SnapshotAccess {
     A.u64(Ck.SweepCount);
   }
 
-  /// The trace hash, then the digest/perturb run state that extends it
-  /// (v3). The interval and the ring capacity are folded into the config
-  /// digest, so only the evolving state is serialized.
+  /// The trace hash and whether the perturb event has fired.
   template <class Ar, class T> static void trace(Ar &A, T &Tr) {
     uint64_t Hash = Tr.hash();
     bool Fired = Tr.perturbFired();
-    uint64_t NextBoundary = Tr.digestNextBoundary();
-    uint64_t Total = Tr.digestCount();
-    std::vector<TraceDigest> Ring = Tr.digestEntries();
     A.u64(Hash);
     A.u8(Fired);
-    A.u64(NextBoundary);
-    A.u64(Total);
-    uint64_t Cap = Tr.digestRingCap() != 0
-                       ? std::min<uint64_t>(Total, Tr.digestRingCap())
-                       : Total;
-    A.seq(
-        Ring,
-        [](auto &A, auto &D) {
-          A.u64(D.Boundary);
-          A.u64(D.Hash);
-        },
-        Cap, "digest ring larger than its declared capacity");
     if constexpr (Ar::Loading)
-      if (A.ok()) {
-        Tr.restoreHash(Hash);
-        Tr.restoreDigestState(NextBoundary, Total, Ring, Fired);
-      }
+      if (A.ok())
+        Tr.restore(Hash, Fired);
   }
 
   template <class Ar, class PC> static void counters(Ar &A, PC *C) {
@@ -397,8 +370,7 @@ struct SnapshotAccess {
 
   // -- Whole blobs -----------------------------------------------------
 
-  /// The 'LBPS' magic and the format version, shared by Machine and
-  /// Interp blobs.
+  /// The 'LBPS' magic and the format version.
   template <class Ar> static void header(Ar &A) {
     A.expect(SnapshotMagic, "bad magic");
     uint32_t Version = SnapshotFormatVersion;
@@ -429,7 +401,6 @@ struct SnapshotAccess {
       for (auto *RR : {&C.FetchRR, &C.DecodeRR, &C.IssueRR, &C.WbRR,
                        &C.CommitRR, &C.AllocRR})
         A.u8(*RR, HartsPerCore - 1, "core round-robin pointer out of range");
-      A.u64(X.CoreWake[CoreId]); // per-core sleep cycle (Machine.h)
     }
     if (GoodBeforeHarts && !A.ok())
       A.fail("truncated hart record"); // unless a check said more
@@ -495,11 +466,13 @@ struct SnapshotAccess {
 
   /// Derived state a restore rebuilds: each ROB entry's micro-op flags
   /// follow from its instruction and each hart's scheduling summary
-  /// from its ROB; the awake and timer sets from CoreWake and Cycle.
-  /// Each core's stall tallies reach the snapshot cycle, and a core that
-  /// sleeps on stalls for the cause its restored state shows. The
-  /// pre-decoded text mirrors the code image; the reference engine
-  /// never reads it, so it is cleared there.
+  /// from its ROB. Every core is marked awake, as at construction: a
+  /// core that cannot act does nothing at its first visit, then sleeps
+  /// until the wake cycle its state gives. Each core's stall tallies
+  /// reach the snapshot cycle, and that first visit counts the stall
+  /// slot its restored state shows. The pre-decoded text mirrors the
+  /// code image; the reference engine never reads it, so it is cleared
+  /// there.
   static void rebuildDerived(Machine &M) {
     for (size_t CoreId = 0; CoreId != M.Cores.size(); ++CoreId) {
       Core &C = M.Cores[CoreId];
@@ -511,6 +484,7 @@ struct SnapshotAccess {
       M.LastTally[CoreId] = {M.Cycle, M.stallSlot(C)};
     }
     M.DueBuf.clear(); // per-cycle scratch, empty between cycles
+    std::fill(M.CoreWake.begin(), M.CoreWake.end(), 0);
     M.rebuildAwakeSet();
     if (M.Cfg.FastPath)
       M.predecodeText();
@@ -518,42 +492,6 @@ struct SnapshotAccess {
       M.DecodedText.clear();
   }
 
-  template <class Ar, class I> static void interp(Ar &A, I &X) {
-    header(A);
-    A.u32(X.Pc);
-    for (auto &Reg : X.Regs)
-      A.u32(Reg);
-    A.u64(X.Steps);
-    for (auto &M : X.Mailbox)
-      A.u32(M);
-    A.seq(X.Pages, [](auto &A, auto &P) {
-      A.u32(P.Base);
-      for (auto &Word : P.Words)
-        A.u32(Word);
-      for (auto &B : P.Written)
-        A.u64(B);
-    });
-    // findPage and pageFor binary-search the pages by base.
-    for (size_t P = 0; P != X.Pages.size(); ++P)
-      if (!A.check(X.Pages[P]->Base % (Interp::PageWords * 4) == 0,
-                   "interp page base not page-aligned") ||
-          !A.check(P == 0 || X.Pages[P - 1]->Base < X.Pages[P]->Base,
-                   "interp page bases not strictly ascending"))
-        break;
-    A.finish(SnapshotTrailer, Truncated);
-  }
-
-  /// Runs a restore description; on failure fills \p Err.
-  template <class Fn>
-  static bool restore(const std::vector<uint8_t> &Blob, std::string &Err,
-                      Fn Describe) {
-    ArchiveReader A(Blob);
-    Describe(A);
-    if (A.ok())
-      return true;
-    Err = "snapshot: " + (A.error().empty() ? Truncated : A.error());
-    return false;
-  }
 };
 
 } // namespace sim
@@ -567,22 +505,13 @@ void Machine::saveSnapshot(std::vector<uint8_t> &Out) const {
 
 bool Machine::restoreSnapshot(const std::vector<uint8_t> &Blob,
                               std::string &Err) {
-  auto Describe = [&](ArchiveReader &A) { SnapshotAccess::machine(A, *this); };
-  if (!SnapshotAccess::restore(Blob, Err, Describe))
+  ArchiveReader A(Blob);
+  SnapshotAccess::machine(A, *this);
+  if (!A.ok()) {
+    Err = "snapshot: " +
+          (A.error().empty() ? SnapshotAccess::Truncated : A.error());
     return false;
+  }
   SnapshotAccess::rebuildDerived(*this);
   return true;
-}
-
-void Interp::saveSnapshot(std::vector<uint8_t> &Out) const {
-  ArchiveWriter A;
-  SnapshotAccess::interp(A, *this);
-  Out = A.take();
-}
-
-bool Interp::restoreSnapshot(const std::vector<uint8_t> &Blob,
-                             std::string &Err) {
-  LastPage = nullptr; // memoized pointer into the old page set
-  return SnapshotAccess::restore(
-      Blob, Err, [&](ArchiveReader &A) { SnapshotAccess::interp(A, *this); });
 }

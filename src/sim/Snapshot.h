@@ -6,8 +6,7 @@
 ///
 /// \file
 /// The checkpoint format behind Machine::saveSnapshot / restoreSnapshot
-/// and Interp::saveSnapshot / restoreSnapshot (docs/ROBUSTNESS.md,
-/// "Checkpoint format"). A snapshot captures the *complete mutable run
+/// (docs/ROBUSTNESS.md, "Checkpoint format"). A snapshot captures the *complete mutable run
 /// state* of a machine between cycles, so a restored run is
 /// observationally indistinguishable from an uninterrupted one: same
 /// trace hash chain, same cycle count, same counter snapshot, same
@@ -36,10 +35,13 @@
 ///                        Every other block is zero. The section is a
 ///                        pure function of the memory contents, so
 ///                        save -> restore -> save is byte-identical.
+///   trace section      — the trace hash and the PerturbForTest
+///                        fired-flag (u8).
 ///   u32 trailer magic  — truncation guard; nothing may follow it
 ///
-/// Interp blobs share the magic, version and trailer around their own
-/// sections (pc, registers, steps, mailbox, written pages).
+/// What the machine can derive is not stored: the micro-op flags and
+/// scheduling summaries follow from the ROBs, and the fast path's
+/// per-core sleep cycles restart with every core awake.
 ///
 /// Each record is described once, over the symmetric archive of
 /// support/Serialize.h: save and restore run the same description, so
@@ -81,7 +83,10 @@ constexpr uint32_t SnapshotMagic = 0x5350424Cu;
 /// rebuilt from the saved ROB on restore.
 /// v6: the memory section holds only the bank store's nonzero blocks
 /// instead of every bank in full.
-constexpr uint32_t SnapshotFormatVersion = 6;
+/// v7: the trace section is the hash and the perturb fired-flag (the
+/// interval-digest ring, its cursor and its total are gone), and the
+/// cores no longer carry the fast path's sleep cycle (CoreWake).
+constexpr uint32_t SnapshotFormatVersion = 7;
 
 /// Block size of the memory section's sparse bank store (divides
 /// MemorySystem::PageBytes).

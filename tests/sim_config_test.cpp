@@ -13,6 +13,7 @@
 
 #include "asm/Assembler.h"
 #include "obs/Perfetto.h"
+#include "obs/Triage.h"
 #include "sim/Machine.h"
 #include "workloads/MatMul.h"
 
@@ -31,10 +32,11 @@ struct Outcome {
   uint64_t Retired;
   uint64_t Hash;
   uint32_t Z00;
-  std::vector<TraceDigest> Digests;
+  std::vector<obs::DigestSink::Digest> Digests;
 };
 
-/// Runs the matmul under \p Cfg, with \p Sink attached when given.
+/// Runs the matmul under \p Cfg, with \p Sink attached when given, and
+/// collects its interval digests every 4096 cycles.
 Outcome run(const MatMulSpec &Spec, SimConfig Cfg,
             TraceSink *Sink = nullptr) {
   assembler::AsmResult R = assembler::assemble(buildMatMulProgram(Spec));
@@ -42,11 +44,12 @@ Outcome run(const MatMulSpec &Spec, SimConfig Cfg,
   Machine M(Cfg);
   if (Sink)
     M.addTraceSink(Sink);
+  obs::DigestSink Digests(M, 4096);
   M.load(R.Prog);
   EXPECT_EQ(M.run(100000000), RunStatus::Exited) << M.faultMessage();
+  Digests.finish(M.cycles());
   return {M.cycles(), M.retired(), M.traceHash(),
-          M.debugReadWord(zElementAddress(Spec, 0, 0)),
-          M.trace().digestEntries()};
+          M.debugReadWord(zElementAddress(Spec, 0, 0)), Digests.digests()};
 }
 
 SimConfig cfgFor(const MatMulSpec &Spec) {

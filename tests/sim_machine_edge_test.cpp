@@ -7,7 +7,8 @@
 // Corner cases of the machine: the WAW-through-memory scenario that
 // renaming must absorb, p_fc stalling until a hart frees, nested
 // parallel teams, the direct p_jal fork, result-slot backlog ordering,
-// alignment faults, ROB pressure, and the recorded text trace.
+// alignment faults, ROB pressure, a run() after exit, and the recorded
+// text trace.
 //
 //===----------------------------------------------------------------------===//
 
@@ -430,6 +431,34 @@ loop:
   Machine One = runSrc(Src, 1);
   EXPECT_EQ(M.cycles(), One.cycles());
   EXPECT_EQ(M.traceHash(), One.traceHash());
+}
+
+// An exited machine stays exited: a later run() returns at once, on
+// either engine, without simulating another cycle.
+TEST(MachineEdge, RunAfterExitReturnsExitedAtOnce) {
+  assembler::AsmResult R =
+      assembler::assemble("main:\n  li ra, 0\n  li t0, -1\n  p_ret\n");
+  ASSERT_TRUE(R.succeeded()) << R.errorText();
+  for (bool FastPath : {false, true}) {
+    SimConfig Cfg = SimConfig::lbp(1);
+    Cfg.FastPath = FastPath;
+    Cfg.CollectStallStats = true;
+    Machine M(Cfg);
+    M.load(R.Prog);
+    ASSERT_EQ(M.run(1000), RunStatus::Exited) << M.engineName();
+    uint64_t Cycles = M.cycles(), Hash = M.traceHash();
+    uint64_t Issued = M.issuedCoreCycles();
+    uint64_t Idle = M.stallCycles(Machine::StallCause::NoActiveWork);
+    EXPECT_LT(Cycles, 1000u);
+
+    EXPECT_EQ(M.run(1000), RunStatus::Exited) << M.engineName();
+    EXPECT_EQ(M.status(), RunStatus::Exited) << M.engineName();
+    EXPECT_EQ(M.cycles(), Cycles) << M.engineName();
+    EXPECT_EQ(M.traceHash(), Hash) << M.engineName();
+    EXPECT_EQ(M.issuedCoreCycles(), Issued) << M.engineName();
+    EXPECT_EQ(M.stallCycles(Machine::StallCause::NoActiveWork), Idle)
+        << M.engineName();
+  }
 }
 
 // The progress guard turns an unsatisfiable wait into RunStatus::Livelock

@@ -24,7 +24,6 @@
 #include "obs/Report.h"
 #include "romp/AsmText.h"
 #include "romp/Runtime.h"
-#include "sim/Interp.h"
 #include "sim/Machine.h"
 #include "sim/Snapshot.h"
 #include "support/StringUtils.h"
@@ -108,12 +107,14 @@ assembler::Program assembleOrDie(const std::string &Src) {
 /// Runs \p Prog uninterrupted under \p Cfg; then re-runs it snapshotting
 /// at \p SnapAt cycles, restores the blob into a fresh machine built
 /// with \p ResumeCfg (never load()ed — the blob carries the code image),
-/// finishes there, and expects the identical fingerprint. Also checks
-/// save -> restore -> save byte-identity on the way through.
+/// or with \p IntoUsedMachine into one that first ran the program to
+/// its end, finishes there, and expects the identical fingerprint. Also
+/// checks save -> restore -> save byte-identity on the way through.
 void expectResumeIdentical(const assembler::Program &Prog, SimConfig Cfg,
                            SimConfig ResumeCfg, uint64_t SnapAt,
                            const std::string &What,
-                           uint64_t Budget = 4000000) {
+                           bool IntoUsedMachine = false) {
+  constexpr uint64_t Budget = 4000000;
   Machine Full(Cfg);
   Full.load(Prog);
   Fingerprint Want = fingerprint(Full, Full.run(Budget));
@@ -125,6 +126,10 @@ void expectResumeIdentical(const assembler::Program &Prog, SimConfig Cfg,
   First.saveSnapshot(Blob);
 
   Machine Second(ResumeCfg);
+  if (IntoUsedMachine) {
+    Second.load(Prog);
+    Second.run(Budget);
+  }
   std::string Err;
   ASSERT_TRUE(Second.restoreSnapshot(Blob, Err)) << What << ": " << Err;
 
@@ -313,7 +318,9 @@ TEST(Snapshot, StallTalliesResumeAtEveryCycle) {
   // its ready work blocked behind the one result buffer. A snapshot at
   // any cycle must leave the restored machine crediting the cycles the
   // core still sleeps through to the cause the uninterrupted run gives
-  // them, so restore re-derives that cause from the saved state.
+  // them, so restore re-derives that cause from the saved state. The
+  // blob holds no sleep cycle, so a machine that already ran the
+  // program must wake at restore too, or it sleeps past the divides.
   assembler::Program Prog = assembleOrDie(R"(
 main:
     li a0, 1000000000
@@ -333,8 +340,9 @@ main:
     Full.load(Prog);
     ASSERT_EQ(Full.run(), RunStatus::Exited) << C.Name;
     for (uint64_t SnapAt = 1; SnapAt < Full.cycles(); ++SnapAt)
-      expectResumeIdentical(Prog, Cfg, Cfg, SnapAt,
-                            std::string("divisions/") + C.Name);
+      for (bool Used : {false, true})
+        expectResumeIdentical(Prog, Cfg, Cfg, SnapAt,
+                              std::string("divisions/") + C.Name, Used);
   }
 }
 
@@ -602,14 +610,14 @@ void expectOldVersionRejected(uint32_t Version) {
   M.run(100);
   std::vector<uint8_t> Blob;
   M.saveSnapshot(Blob);
-  ASSERT_EQ(SnapshotFormatVersion, 6u);
+  ASSERT_EQ(SnapshotFormatVersion, 7u);
   Blob[4] = static_cast<uint8_t>(Version); // the little-endian u32 after
   Blob[5] = Blob[6] = Blob[7] = 0;         // the magic
   Machine R(Cfg);
   std::string Err;
   EXPECT_FALSE(R.restoreSnapshot(Blob, Err));
   EXPECT_NE(Err.find("format version " + std::to_string(Version) +
-                     " (expected 6)"),
+                     " (expected 7)"),
             std::string::npos)
       << Err;
 }
@@ -662,6 +670,12 @@ TEST(Snapshot, RejectsFormatVersion5Blob) {
   // Version 5 blobs carried every bank in full; v6 holds only the bank
   // store's nonzero blocks.
   expectOldVersionRejected(5);
+}
+
+TEST(Snapshot, RejectsFormatVersion6Blob) {
+  // Version 6 blobs carried the interval-digest ring and each core's
+  // fast-path sleep cycle, which v7 leaves out.
+  expectOldVersionRejected(6);
 }
 
 /// Where the memory section's parts sit in a blob: the code image comes
@@ -842,14 +856,13 @@ std::string sectionsSrc() {
 }
 
 /// The machine sectionsSrc() runs on: counters and the memory log on,
-/// one delay fault of up to 40000 cycles (seed 16 draws 32629, longer
-/// than the 16384-cycle wheel, so the delayed delivery waits in the
-/// overflow heap), and interval digests every 512 cycles, or none.
-SimConfig sectionsConfig(bool Digests) {
+/// and one delay fault of up to 40000 cycles (seed 16 draws 32629,
+/// longer than the 16384-cycle wheel, so the delayed delivery waits in
+/// the overflow heap).
+SimConfig sectionsConfig() {
   SimConfig Cfg = SimConfig::lbp(4);
   Cfg.CollectCounters = true;
   Cfg.CollectMemLog = true;
-  Cfg.DigestInterval = Digests ? 512 : 0;
   Cfg.Faults.Seed = 16;
   Cfg.Faults.Delays = 1;
   Cfg.Faults.MaxDelay = 40000;
@@ -871,10 +884,9 @@ ActuatorDevice *addSectionsDevices(Machine &M) {
 
 /// The sections program's blob at cycle 1750, checked to hold what the
 /// public state can show: the queued reduction sends, the pending
-/// delayed delivery, the memory log, the digest ring and the actuator
-/// log.
-std::vector<uint8_t> sectionsBlob(bool Digests) {
-  Machine M(sectionsConfig(Digests));
+/// delayed delivery, the memory log and the actuator log.
+std::vector<uint8_t> sectionsBlob() {
+  Machine M(sectionsConfig());
   M.load(assembleOrDie(sectionsSrc()));
   ActuatorDevice *Act = addSectionsDevices(M);
   EXPECT_EQ(M.run(1750), RunStatus::MaxCycles) << M.faultMessage();
@@ -886,33 +898,10 @@ std::vector<uint8_t> sectionsBlob(bool Digests) {
   EXPECT_GT(Delay.Param, 1u << 14);
   EXPECT_GT(Delay.FiredCycle + Delay.Param, M.cycles() + (1u << 14));
   EXPECT_FALSE(M.memLog().empty());
-  EXPECT_EQ(M.trace().digestEntries().empty(), !Digests);
   EXPECT_FALSE(Act->records().empty());
   std::vector<uint8_t> Blob;
   M.saveSnapshot(Blob);
   return Blob;
-}
-
-/// The Snapshot.InterpRoundTrip program.
-std::string interpLoopSrc() {
-  return R"(
-      .text
-  main:
-      li t0, -1
-      li sp, 0x00110000
-      li a0, 0            # i
-      li a1, 200          # n
-      li a2, 0x10000000   # base
-  loop:
-      slli a3, a0, 2
-      add a3, a3, a2
-      sw a0, 0(a3)
-      lw a4, 0(a3)
-      add a5, a5, a4
-      addi a0, a0, 1
-      blt a0, a1, loop
-      p_ret
-  )";
 }
 
 /// Overwrites the 8 bytes at \p At (fewer at the end) with 2^62,
@@ -929,45 +918,28 @@ TEST(Snapshot, HostileCountsAndEnumsAreRefusedAtEveryOffset) {
   // are all non-empty meets 2^62 at some offset. Restore must refuse it
   // with a diagnostic or accept a blob that is in range; it must never
   // throw, allocate for the count or trip a sanitizer.
-  for (bool Digests : {true, false}) {
-    std::vector<uint8_t> Blob = sectionsBlob(Digests);
-    Machine R(sectionsConfig(Digests));
-    addSectionsDevices(R);
-    size_t Refused = 0;
-    for (size_t At = 0; At != Blob.size(); ++At) {
-      std::vector<uint8_t> Bad = Blob;
-      plant(Bad, At);
-      std::string Err;
-      if (!R.restoreSnapshot(Bad, Err)) {
-        ++Refused;
-        EXPECT_FALSE(Err.empty()) << "offset " << At;
-        continue;
-      }
-      for (unsigned H = 0; H != R.config().numHarts(); ++H)
-        ASSERT_LE(R.hartState(H), HartState::WaitingJoin) << "offset " << At;
-      for (const MachineCheck &MC : R.machineChecks())
-        ASSERT_LE(MC.Kind, CheckKind::SchedulePast) << "offset " << At;
-    }
-    EXPECT_GT(Refused, 0u) << "digests " << Digests;
-    // The restoring machine is still sound: the untouched blob resumes.
-    std::string Err;
-    EXPECT_TRUE(R.restoreSnapshot(Blob, Err)) << Err;
-  }
-
-  assembler::Program Prog = assembleOrDie(interpLoopSrc());
-  Interp First(Prog);
-  ASSERT_EQ(First.run(137), InterpStatus::MaxSteps);
-  std::vector<uint8_t> Blob;
-  First.saveSnapshot(Blob);
-  Interp R(Prog);
+  std::vector<uint8_t> Blob = sectionsBlob();
+  Machine R(sectionsConfig());
+  addSectionsDevices(R);
+  size_t Refused = 0;
   for (size_t At = 0; At != Blob.size(); ++At) {
     std::vector<uint8_t> Bad = Blob;
     plant(Bad, At);
     std::string Err;
     if (!R.restoreSnapshot(Bad, Err)) {
-      EXPECT_FALSE(Err.empty()) << "interp offset " << At;
+      ++Refused;
+      EXPECT_FALSE(Err.empty()) << "offset " << At;
+      continue;
     }
+    for (unsigned H = 0; H != R.config().numHarts(); ++H)
+      ASSERT_LE(R.hartState(H), HartState::WaitingJoin) << "offset " << At;
+    for (const MachineCheck &MC : R.machineChecks())
+      ASSERT_LE(MC.Kind, CheckKind::SchedulePast) << "offset " << At;
   }
+  EXPECT_GT(Refused, 0u);
+  // The restoring machine is still sound: the untouched blob resumes.
+  std::string Err;
+  EXPECT_TRUE(R.restoreSnapshot(Blob, Err)) << Err;
 }
 
 /// 64-bit FNV-1a over \p B.
@@ -981,9 +953,8 @@ uint64_t fnv1a(const std::vector<uint8_t> &B) {
 }
 
 TEST(Snapshot, BlobBytesArePinned) {
-  // Format v6 byte for byte: sizes and hashes of blobs saved at fixed
-  // points, recorded before the serializer moved onto the symmetric
-  // archive. The save -> restore -> save tests compare two blobs of one
+  // Format v7 byte for byte: sizes and hashes of blobs saved at fixed
+  // points. The save -> restore -> save tests compare two blobs of one
   // build, so only literal values catch a layout change that both
   // directions make alike. A deliberate format change bumps
   // SnapshotFormatVersion and re-records these.
@@ -996,18 +967,13 @@ TEST(Snapshot, BlobBytesArePinned) {
     EXPECT_EQ(Blob.size(), Want.Size) << What;
     EXPECT_EQ(fnv1a(Blob), Want.Hash) << What;
   };
-  ExpectPinned(sectionsBlob(true), {14297, 0xafae9700d9e9d09eull},
-               "sections, digests on");
-  ExpectPinned(sectionsBlob(false), {14249, 0xd2ac529dbfdeecfcull},
-               "sections, digests off");
+  ExpectPinned(sectionsBlob(), {14193, 0xfec7fa2a2542574aull}, "sections");
 
-  // The wide machine mid-run. The engines reach the same observable
-  // state by different schedules, and their blobs differ in the
-  // host-side wake bookkeeping.
+  // The wide machine mid-run. The engines reach the same state by
+  // different schedules, and the blob holds none of the fast path's
+  // wake bookkeeping, so both save the same bytes.
   assembler::Program Wide = assembleOrDie(test::wideForkJoinProgram());
-  for (const auto &[FastPath, Want] :
-       {std::pair{false, Pin{165286, 0xa81eee140694eedaull}},
-        std::pair{true, Pin{165286, 0x5841210c6d1711f9ull}}}) {
+  for (bool FastPath : {false, true}) {
     SimConfig Cfg = test::wideConfig();
     Cfg.FastPath = FastPath;
     Machine M(Cfg);
@@ -1015,15 +981,9 @@ TEST(Snapshot, BlobBytesArePinned) {
     M.run(2500);
     std::vector<uint8_t> Blob;
     M.saveSnapshot(Blob);
-    ExpectPinned(Blob, Want, FastPath ? "wide, fast path" : "wide, reference");
+    ExpectPinned(Blob, {164750, 0x078a882ce895d9bfull},
+                 FastPath ? "wide, fast path" : "wide, reference");
   }
-
-  assembler::Program Loop = assembleOrDie(interpLoopSrc());
-  Interp I(Loop);
-  I.run(137);
-  std::vector<uint8_t> Blob;
-  I.saveSnapshot(Blob);
-  ExpectPinned(Blob, {4420, 0x0516e226f79c1409ull}, "interp");
 }
 
 //===----------------------------------------------------------------------===//
@@ -1247,121 +1207,6 @@ TEST(Snapshot, WheelAuditFiresAtTheSameCycleOnBothEngines) {
   EXPECT_EQ(Fast.Cycle, Ref.Cycle);
   EXPECT_EQ(Fast.Message, Ref.Message);
   EXPECT_EQ(Reports[1].second, Reports[0].second);
-}
-
-//===----------------------------------------------------------------------===//
-// Interp checkpointing
-//===----------------------------------------------------------------------===//
-
-TEST(Snapshot, InterpRoundTrip) {
-  // A loop with enough memory traffic to populate the page overlay.
-  assembler::Program Prog = assembleOrDie(R"(
-      .text
-  main:
-      li t0, -1
-      li sp, 0x00110000
-      li a0, 0            # i
-      li a1, 200          # n
-      li a2, 0x10000000   # base
-  loop:
-      slli a3, a0, 2
-      add a3, a3, a2
-      sw a0, 0(a3)
-      lw a4, 0(a3)
-      add a5, a5, a4
-      addi a0, a0, 1
-      blt a0, a1, loop
-      p_ret
-  )");
-
-  Interp Full(Prog);
-  InterpStatus WantStatus = Full.run(100000);
-  uint64_t WantSteps = Full.steps();
-
-  Interp First(Prog);
-  First.run(137);
-  std::vector<uint8_t> Blob;
-  First.saveSnapshot(Blob);
-
-  Interp Second(Prog);
-  std::string Err;
-  ASSERT_TRUE(Second.restoreSnapshot(Blob, Err)) << Err;
-  EXPECT_EQ(Second.pc(), First.pc());
-  EXPECT_EQ(Second.steps(), First.steps());
-
-  InterpStatus GotStatus = Second.run(100000);
-  EXPECT_EQ(static_cast<int>(GotStatus), static_cast<int>(WantStatus));
-  EXPECT_EQ(Second.steps(), WantSteps);
-  for (unsigned R = 0; R != 32; ++R)
-    EXPECT_EQ(Second.reg(R), Full.reg(R)) << "x" << R;
-  for (unsigned I = 0; I != 200; ++I)
-    EXPECT_EQ(Second.readWord(0x10000000 + 4 * I),
-              Full.readWord(0x10000000 + 4 * I))
-        << "word " << I;
-
-  std::vector<uint8_t> Bad(Blob.begin(), Blob.begin() + Blob.size() / 3);
-  Interp Third(Prog);
-  EXPECT_FALSE(Third.restoreSnapshot(Bad, Err));
-}
-
-TEST(Snapshot, InterpRefusesBadPageTables) {
-  // findPage and pageFor binary-search the page overlay by base, so
-  // restore refuses bases that are unaligned, out of order or repeated.
-  // The Interp blob shares the machine blobs' header check too.
-  assembler::Program Prog = assembleOrDie(R"(
-      .text
-  main:
-      li t0, -1
-      li a1, 7
-      li a2, 0x10000000
-      sw a1, 0(a2)
-      li a2, 0x10001000
-      sw a1, 0(a2)
-      p_ret
-  )");
-  Interp I(Prog);
-  ASSERT_EQ(I.run(100), InterpStatus::Exited);
-  std::vector<uint8_t> Blob;
-  I.saveSnapshot(Blob);
-  // The header, pc, registers, step count and mailbox take 180 bytes;
-  // then the page count and each page: its base, 1024 words and the
-  // written-word bitmap.
-  constexpr size_t First = 180 + 8, Second = First + 4 + 4 * 1024 + 8 * 16;
-  ASSERT_EQ(readU64(Blob, 180), 2u);
-  ASSERT_EQ(readU32(Blob, First), 0x10000000u);
-  ASSERT_EQ(readU32(Blob, Second), 0x10001000u);
-  auto ExpectRefused = [&](const std::vector<uint8_t> &B,
-                           const std::string &Want) {
-    Interp R(Prog);
-    std::string Err;
-    EXPECT_FALSE(R.restoreSnapshot(B, Err));
-    EXPECT_NE(Err.find(Want), std::string::npos) << Err;
-  };
-  { // Swapped.
-    std::vector<uint8_t> B = Blob;
-    writeU32(B, First, 0x10001000u);
-    writeU32(B, Second, 0x10000000u);
-    ExpectRefused(B, "interp page bases not strictly ascending");
-  }
-  { // Repeated.
-    std::vector<uint8_t> B = Blob;
-    writeU32(B, Second, 0x10000000u);
-    ExpectRefused(B, "interp page bases not strictly ascending");
-  }
-  { // Not page-aligned.
-    std::vector<uint8_t> B = Blob;
-    writeU32(B, First, 0x10000004u);
-    ExpectRefused(B, "interp page base not page-aligned");
-  }
-  { // A version 5 header.
-    std::vector<uint8_t> B = Blob;
-    writeU32(B, 4, 5);
-    ExpectRefused(B, "format version 5 (expected 6)");
-  }
-  Interp R(Prog);
-  std::string Err;
-  EXPECT_TRUE(R.restoreSnapshot(Blob, Err)) << Err;
-  EXPECT_EQ(R.readWord(0x10001000), 7u);
 }
 
 } // namespace

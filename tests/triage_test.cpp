@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // Interval trace digests and the bisecting divergence triager
-// (docs/OBSERVABILITY.md "Divergence triage"): digesting must be
-// hash-neutral and boundary-exact, the bounded ring must keep the
-// newest entries across wraparound, digest/perturb state must survive
-// snapshot round trips, and on a seeded divergence the triager must
-// isolate the exact first divergent event with a byte-identical report.
+// (docs/OBSERVABILITY.md "Interval digests", "Divergence triage"): the
+// digest sink must be hash-neutral and boundary-exact, a run in chunks
+// and a restored run must continue the straight run's digests, the
+// perturb state must survive snapshot round trips, and on a seeded
+// divergence the triager must isolate the exact first divergent event
+// with a byte-identical report.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,10 @@
 #include "workloads/Phases.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <fstream>
+#include <sstream>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -43,75 +48,98 @@ RunStatus runOn(Machine &M, const std::string &Source,
   return M.run(MaxCycles);
 }
 
+using Digests = std::vector<obs::DigestSink::Digest>;
+
+void expectSameDigests(const Digests &Want, const Digests &Got) {
+  ASSERT_EQ(Want.size(), Got.size());
+  for (size_t I = 0; I != Want.size(); ++I) {
+    EXPECT_EQ(Want[I].Boundary, Got[I].Boundary) << "digest " << I;
+    EXPECT_EQ(Want[I].Hash, Got[I].Hash) << "digest " << I;
+  }
+}
+
 } // namespace
 
 TEST(Triage, DigestsAreHashNeutralAndBoundaryExact) {
   std::string Src = phasesSrc();
+  SimConfig Cfg = SimConfig::lbp(4);
 
-  SimConfig Off = SimConfig::lbp(4);
-  Off.DigestInterval = 0;
-  Machine A(Off);
+  Machine A(Cfg);
   ASSERT_EQ(runOn(A, Src), RunStatus::Exited);
-  EXPECT_EQ(A.trace().digestCount(), 0u);
 
-  SimConfig On = Off;
-  On.DigestInterval = 512;
-  Machine B(On);
+  Machine B(Cfg);
+  obs::DigestSink Sink(B, 512);
   ASSERT_EQ(runOn(B, Src), RunStatus::Exited);
+  Sink.finish(B.cycles());
 
-  // Hash-neutral: digesting only reads the hash accumulator.
+  // Hash-neutral: the sink only reads the hash accumulator.
   EXPECT_EQ(A.traceHash(), B.traceHash());
   EXPECT_EQ(A.cycles(), B.cycles());
   EXPECT_EQ(A.retired(), B.retired());
 
   // Boundary-exact: one digest per whole interval the run crossed,
   // each at a multiple of the stride, strictly increasing.
-  EXPECT_EQ(B.trace().digestCount(), B.cycles() / 512);
-  std::vector<TraceDigest> Ring = B.trace().digestEntries();
-  for (size_t I = 0; I != Ring.size(); ++I)
-    EXPECT_EQ(Ring[I].Boundary, 512 * (I + 1));
+  const Digests &D = Sink.digests();
+  EXPECT_EQ(D.size(), B.cycles() / 512);
+  for (size_t I = 0; I != D.size(); ++I)
+    EXPECT_EQ(D[I].Boundary, 512 * (I + 1));
+
+  // Each digest is the hash before the first event at or past its
+  // boundary: a run cut just before a boundary ends on that value.
+  ASSERT_GE(D.size(), 3u);
+  Machine C(Cfg);
+  ASSERT_EQ(runOn(C, Src, 3 * 512 - 1), RunStatus::MaxCycles);
+  EXPECT_EQ(C.traceHash(), D[2].Hash);
+
+  // finish() records a boundary that no event reached: stop a run on a
+  // cycle in which nothing happens, with that cycle as the interval.
+  struct CycleLog : TraceSink {
+    std::vector<uint64_t> Cycles; // nondecreasing, like the stream
+    void onEvent(uint64_t Cycle, EventKind, uint64_t, uint64_t) override {
+      Cycles.push_back(Cycle);
+    }
+  } Log;
+  Machine Logged(Cfg);
+  Logged.addTraceSink(&Log);
+  ASSERT_EQ(runOn(Logged, Src), RunStatus::Exited);
+  uint64_t Quiet = 1;
+  while (std::binary_search(Log.Cycles.begin(), Log.Cycles.end(), Quiet))
+    ++Quiet;
+  ASSERT_LT(Quiet, Logged.cycles());
+
+  Machine Cut(Cfg), Whole(Cfg);
+  obs::DigestSink CutSink(Cut, Quiet), WholeSink(Whole, Quiet);
+  ASSERT_EQ(runOn(Cut, Src, Quiet), RunStatus::MaxCycles);
+  CutSink.finish(Cut.cycles());
+  ASSERT_EQ(runOn(Whole, Src), RunStatus::Exited);
+  ASSERT_EQ(CutSink.digests().size(), 1u);
+  EXPECT_EQ(CutSink.digests()[0].Boundary, Quiet);
+  EXPECT_EQ(CutSink.digests()[0].Hash, WholeSink.digests().at(0).Hash);
 }
 
 TEST(Triage, InterruptedRunDigestsMatchStraightRun) {
   std::string Src = phasesSrc();
   SimConfig Cfg = SimConfig::lbp(4);
-  Cfg.DigestInterval = 512;
 
   Machine Straight(Cfg);
+  obs::DigestSink StraightSink(Straight, 512);
   ASSERT_EQ(runOn(Straight, Src), RunStatus::Exited);
+  StraightSink.finish(Straight.cycles());
 
   // A budget expiry mid-interval must not fabricate or skip a
   // boundary: the resumed run's digest sequence is the same bytes.
   Machine Chunked(Cfg);
+  obs::DigestSink ChunkedSink(Chunked, 512);
   Chunked.load(assembleOrDie(Src));
-  ASSERT_EQ(Chunked.run(1300), RunStatus::MaxCycles);
+  for (uint64_t Budget : {1300, 236, 1}) { // 1536 is a boundary
+    ASSERT_EQ(Chunked.run(Budget), RunStatus::MaxCycles);
+    ChunkedSink.finish(Chunked.cycles());
+  }
   ASSERT_EQ(Chunked.run(2000000), RunStatus::Exited);
+  ChunkedSink.finish(Chunked.cycles());
 
   EXPECT_EQ(Straight.traceHash(), Chunked.traceHash());
-  std::vector<TraceDigest> SR = Straight.trace().digestEntries();
-  std::vector<TraceDigest> CR = Chunked.trace().digestEntries();
-  ASSERT_EQ(SR.size(), CR.size());
-  for (size_t I = 0; I != SR.size(); ++I) {
-    EXPECT_EQ(SR[I].Boundary, CR[I].Boundary);
-    EXPECT_EQ(SR[I].Hash, CR[I].Hash);
-  }
-}
-
-TEST(Triage, DigestRingWrapsKeepingNewest) {
-  std::string Src = phasesSrc();
-  SimConfig Cfg = SimConfig::lbp(4);
-  Cfg.DigestInterval = 32;
-  Machine M(Cfg);
-  ASSERT_EQ(runOn(M, Src), RunStatus::Exited);
-
-  uint64_t Total = M.trace().digestCount();
-  ASSERT_GT(Total, DigestRingCap) << "workload too short to wrap the ring";
-
-  // The ring holds exactly the newest cap entries, oldest first.
-  std::vector<TraceDigest> Ring = M.trace().digestEntries();
-  ASSERT_EQ(Ring.size(), DigestRingCap);
-  for (size_t I = 0; I != Ring.size(); ++I)
-    EXPECT_EQ(Ring[I].Boundary, 32 * (Total - DigestRingCap + 1 + I));
+  expectSameDigests(StraightSink.digests(), ChunkedSink.digests());
 }
 
 TEST(Triage, PerturbSeedsReproducibleDivergence) {
@@ -143,8 +171,12 @@ TEST(Triage, PerturbSeedsReproducibleDivergence) {
 TEST(Triage, SnapshotRoundTripsDigestAndPerturbState) {
   std::string Src = phasesSrc();
   SimConfig Cfg = SimConfig::lbp(4);
-  Cfg.DigestInterval = 16; // 81 boundaries wrap the ring by cycle 1300
   Cfg.PerturbForTest = 700; // fires before the snapshot point
+
+  Machine Straight(Cfg);
+  obs::DigestSink StraightSink(Straight, 16);
+  ASSERT_EQ(runOn(Straight, Src), RunStatus::Exited);
+  StraightSink.finish(Straight.cycles());
 
   Machine M(Cfg);
   M.load(assembleOrDie(Src));
@@ -158,40 +190,41 @@ TEST(Triage, SnapshotRoundTripsDigestAndPerturbState) {
   Machine R(Cfg);
   std::string Err;
   ASSERT_TRUE(R.restoreSnapshot(Blob, Err)) << Err;
+  EXPECT_TRUE(R.trace().perturbFired());
 
-  // Restored digest state is bit-equal, including the ring layout: a
-  // second save of the restored machine is the same bytes.
+  // A second save of the restored machine is the same bytes.
   std::vector<uint8_t> Blob2;
   R.saveSnapshot(Blob2);
   EXPECT_EQ(Blob, Blob2);
 
-  // And both continuations finish with identical fingerprints and
-  // digest sequences — the perturb must not fire a second time.
-  ASSERT_EQ(M.run(2000000), RunStatus::Exited);
+  // A sink attached to the restored machine continues the straight
+  // run's digests past the snapshot cycle, and the perturb event does
+  // not fire a second time.
+  obs::DigestSink Sink(R, 16);
   ASSERT_EQ(R.run(2000000), RunStatus::Exited);
-  EXPECT_EQ(M.traceHash(), R.traceHash());
-  EXPECT_EQ(M.trace().digestCount(), R.trace().digestCount());
-  std::vector<TraceDigest> MR = M.trace().digestEntries();
-  std::vector<TraceDigest> RR = R.trace().digestEntries();
-  ASSERT_EQ(MR.size(), RR.size());
-  for (size_t I = 0; I != MR.size(); ++I) {
-    EXPECT_EQ(MR[I].Boundary, RR[I].Boundary);
-    EXPECT_EQ(MR[I].Hash, RR[I].Hash);
-  }
+  Sink.finish(R.cycles());
+  EXPECT_EQ(R.traceHash(), Straight.traceHash());
+  Digests After;
+  for (const obs::DigestSink::Digest &D : StraightSink.digests())
+    if (D.Boundary > 1300)
+      After.push_back(D);
+  ASSERT_FALSE(After.empty());
+  expectSameDigests(After, Sink.digests());
 }
 
 TEST(Triage, FindsSeededFirstDivergentEvent) {
   assembler::Program Prog = assembleOrDie(phasesSrc());
 
   sim::SimConfig Base = SimConfig::lbp(4);
-  Base.DigestInterval = 512;
   Base.PerturbForTest = 2000;
 
   obs::TriageRunSpec A{"reference", Base}, B{"fast", Base};
   A.Cfg.FastPath = false;
   B.Cfg.FastPath = true;
+  obs::TriageOptions Opts;
+  Opts.DigestInterval = 512;
 
-  obs::TriageResult R = obs::triageDivergence(Prog, A, B);
+  obs::TriageResult R = obs::triageDivergence(Prog, A, B, Opts);
   ASSERT_TRUE(R.Ran) << R.Error;
   EXPECT_TRUE(R.Diverged);
   ASSERT_TRUE(R.Found);
@@ -216,9 +249,33 @@ TEST(Triage, FindsSeededFirstDivergentEvent) {
   EXPECT_NE(R.Side[0].Context[RelA].B, R.Side[1].Context[RelB].B);
 
   // The canonical report is byte-identical across independent runs.
-  obs::TriageResult R2 = obs::triageDivergence(Prog, A, B);
+  obs::TriageResult R2 = obs::triageDivergence(Prog, A, B, Opts);
   EXPECT_EQ(obs::triageReportToJson(R, "phases"),
             obs::triageReportToJson(R2, "phases"));
+}
+
+TEST(Triage, ReportBytesArePinned) {
+  // The lbp-triage-report-v1 document of CI's seeded pair (lbp_triage
+  // --workload phases --perturb 2000 --digest-interval 512 --side-a
+  // reference --side-b fast) keeps the bytes recorded in the data file:
+  // CI diffs reports and the benches embed them, so a change to how the
+  // digests are gathered must not move one byte.
+  std::ifstream In(LBP_SOURCE_DIR "/tests/data/triage_report_phases.json");
+  ASSERT_TRUE(In.good());
+  std::stringstream Want;
+  Want << In.rdbuf();
+
+  assembler::Program Prog = assembleOrDie(phasesSrc());
+  sim::SimConfig Base = SimConfig::lbp(4);
+  Base.PerturbForTest = 2000;
+  obs::TriageRunSpec A{"reference", Base}, B{"fast", Base};
+  A.Cfg.FastPath = false;
+  obs::TriageOptions Opts;
+  Opts.DigestInterval = 512;
+  EXPECT_EQ(obs::triageReportToJson(obs::triageDivergence(Prog, A, B, Opts),
+                                    "phases") +
+                "\n",
+            Want.str());
 }
 
 TEST(Triage, FaultPlanDivergenceIsTriaged) {
@@ -227,14 +284,15 @@ TEST(Triage, FaultPlanDivergenceIsTriaged) {
   assembler::Program Prog = assembleOrDie(phasesSrc());
 
   sim::SimConfig Base = SimConfig::lbp(4);
-  Base.DigestInterval = 512;
   obs::TriageRunSpec A{"clean", Base}, B{"delayed", Base};
   B.Cfg.Faults.Seed = 7;
   B.Cfg.Faults.Delays = 1;
   B.Cfg.Faults.WindowBegin = 100;
   B.Cfg.Faults.WindowEnd = 1500;
+  obs::TriageOptions Opts;
+  Opts.DigestInterval = 512;
 
-  obs::TriageResult R = obs::triageDivergence(Prog, A, B);
+  obs::TriageResult R = obs::triageDivergence(Prog, A, B, Opts);
   ASSERT_TRUE(R.Ran) << R.Error;
   EXPECT_TRUE(R.Diverged);
   ASSERT_TRUE(R.Found);
