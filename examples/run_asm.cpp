@@ -36,7 +36,9 @@ using namespace lbp::sim;
 
 int main(int argc, char **argv) {
   if (argc < 2) {
-    std::fprintf(stderr, "usage: %s program.s [cores] [--trace]\n",
+    std::fprintf(stderr,
+                 "usage: %s program.s [cores] [--trace] [--fast] "
+                 "[--disasm]\n",
                  argv[0]);
     return 1;
   }
@@ -90,6 +92,7 @@ int main(int argc, char **argv) {
     const char *Why = S == InterpStatus::Exited     ? "exited"
                       : S == InterpStatus::MaxSteps ? "budget exhausted"
                       : S == InterpStatus::BadInstr ? "bad instruction"
+                      : S == InterpStatus::Fault    ? "fault"
                                                     : "unsupported op";
     std::printf("[fast] %s after %llu instructions (sequential "
                 "reference order)\n",

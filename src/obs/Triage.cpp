@@ -146,46 +146,35 @@ TriageResult obs::triageDivergence(const assembler::Program &Prog,
 
   // The first divergent event lies at a cycle >= LastAgreeBoundary and
   // (when the next boundary's digests disagree) < LastAgreeBoundary + D.
-  // Snapshot one cycle earlier so events at the boundary cycle itself
+  // Anchor one cycle earlier so events at the boundary cycle itself
   // are still replayed, and give the window 2 * D so there is up to an
   // interval of trailing context.
   R.SnapshotCycle = R.LastAgreeBoundary == 0 ? 0 : R.LastAgreeBoundary - 1;
   R.WindowCycles = 2 * D;
 
-  // -- Phase 3: snapshot-anchored replay with event capture ------------
+  // -- Phase 3: anchored replay with event capture --------------------
   std::vector<TriageEvent> Streams[2];
   for (int S = 0; S != 2; ++S) {
-    Machine M1(Sides[S]->Cfg);
-    M1.load(Prog);
+    Machine M(Sides[S]->Cfg);
+    M.load(Prog);
     if (R.SnapshotCycle != 0) {
-      sim::RunStatus St = M1.run(R.SnapshotCycle);
-      if (St != sim::RunStatus::MaxCycles ||
-          M1.cycles() != R.SnapshotCycle) {
+      sim::RunStatus St = M.run(R.SnapshotCycle);
+      if (St != sim::RunStatus::MaxCycles || M.cycles() != R.SnapshotCycle) {
         R.Error = formatString(
             "side '%s' could not reach the snapshot anchor (cycle %llu): "
             "run stopped at %llu (%s)",
             Sides[S]->Name.c_str(),
             static_cast<unsigned long long>(R.SnapshotCycle),
-            static_cast<unsigned long long>(M1.cycles()),
+            static_cast<unsigned long long>(M.cycles()),
             sim::runStatusName(St));
         return R;
       }
     }
-    std::vector<uint8_t> Blob;
-    M1.saveSnapshot(Blob);
-
-    // The blob carries the code image, so the replay machine is never
-    // load()ed — the capture sink sees exactly the post-anchor stream.
-    Machine M2(Sides[S]->Cfg);
+    // Attached at the anchor, the capture sink sees exactly the
+    // post-anchor stream.
     EventCaptureSink Cap;
-    M2.addTraceSink(&Cap);
-    std::string Err;
-    if (!M2.restoreSnapshot(Blob, Err)) {
-      R.Error = formatString("side '%s' snapshot restore failed: %s",
-                             Sides[S]->Name.c_str(), Err.c_str());
-      return R;
-    }
-    M2.run(R.WindowCycles);
+    M.addTraceSink(&Cap);
+    M.run(R.WindowCycles);
     Streams[S] = std::move(Cap.Events);
   }
   R.Ran = true;

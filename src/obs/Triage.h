@@ -14,10 +14,9 @@
 ///      sequence through a DigestSink;
 ///   2. compares the digest sequences to find the last boundary at
 ///      which the hash chains still agree;
-///   3. re-runs each side to one cycle before that boundary, snapshots
-///      it (sim/Snapshot), restores the snapshot into a fresh machine
-///      with full event capture attached, and replays a window of at
-///      most 2 * TriageOptions::DigestInterval cycles;
+///   3. re-runs each side to one cycle before that boundary, attaches
+///      full event capture there, and runs on for a window of at most
+///      2 * TriageOptions::DigestInterval cycles;
 ///   4. compares the captured canonical event streams index by index
 ///      and reports the first divergent trace event — cycle, core,
 ///      hart, kind, operands — plus a K-event context window from each
@@ -143,7 +142,7 @@ struct TriageSideResult {
   uint64_t TraceHash = 0;
   uint64_t DigestCount = 0;
 
-  /// Replay capture: events from the restored window, and the slice
+  /// Replay capture: events from the replayed window, and the slice
   /// around the first divergent index kept for the report.
   std::vector<TriageEvent> Context;
   /// Index (into the replayed stream) of the first context event.
@@ -151,7 +150,7 @@ struct TriageSideResult {
 };
 
 struct TriageResult {
-  /// False only on an internal failure (snapshot refused, ...); see
+  /// False only when a side stopped before the replay anchor; see
   /// Error. A clean "no divergence" outcome still has Ran == true.
   bool Ran = false;
   std::string Error;
@@ -174,8 +173,9 @@ struct TriageResult {
   uint64_t LastAgreeBoundary = 0;
   uint64_t LastAgreeHash = 0;
 
-  /// Replay anchoring: machines were snapshotted at SnapshotCycle and
-  /// replayed for WindowCycles (2 * DigestInterval).
+  /// Replay anchoring: each side ran to SnapshotCycle (the report's
+  /// "snapshot_cycle"; no checkpoint is taken) and was then captured for
+  /// WindowCycles (2 * DigestInterval).
   uint64_t SnapshotCycle = 0;
   uint64_t WindowCycles = 0;
 

@@ -8,8 +8,8 @@
 /// The lbp_triage command-line divergence triager
 /// (docs/OBSERVABILITY.md "Divergence triage"): runs one program under
 /// two configurations, bisects their interval-digest sequences to the
-/// last agreeing boundary, replays both sides from a snapshot anchored
-/// there, and reports the first divergent trace event as a canonical
+/// last agreeing boundary, replays both sides from an anchor there,
+/// and reports the first divergent trace event as a canonical
 /// lbp-triage-report-v1 JSON document.
 ///
 ///   lbp_triage [options] file.c | file.s | -
@@ -34,7 +34,8 @@
 /// malformed or out-of-range value is a usage error.
 ///
 /// Exit status: 0 = no divergence, 1 = divergence reported,
-/// 2 = usage/input error, 3 = triage failure (snapshot refused, ...).
+/// 2 = usage/input error, 3 = triage failure (a side stopped before the
+/// replay anchor).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,8 +9,9 @@
 /// paper's three evaluation sizes are 4, 16 and 64 cores (16/64/256
 /// harts); the router tree instantiates r1 per 4 cores, r2 per 4 r1 and
 /// r3 per 4 r2 exactly as its Figs. 13-14. Latencies are our calibration
-/// (the paper does not publish them); every number is a parameter so the
-/// ablation benches can sweep them.
+/// (the paper does not publish them) and are constants, except the two
+/// router-tree link parameters, which stay SimConfig fields because the
+/// ablation bench sweeps them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +37,30 @@ constexpr unsigned ResultSlots = 8;
 /// Cycle stride of the machine-check layer's periodic sweep
 /// (SimConfig::EnableCheckers; docs/ROBUSTNESS.md).
 constexpr uint64_t CheckInterval = 64;
+
+// Timing calibration, in cycles, the same for every machine. The router
+// tree's hop latency and link capacity are SimConfig fields instead.
+
+/// Functional-unit latencies (issue to result-ready).
+constexpr unsigned AluLatency = 1;
+constexpr unsigned MulLatency = 3;
+constexpr unsigned DivLatency = 16;
+
+/// Local scratchpad access latency (issue to result-ready).
+constexpr unsigned LocalMemLatency = 2;
+
+/// Own-core shared-bank access through the bank's local port; also the
+/// each-way latency of the I/O device path.
+constexpr unsigned GlobalLocalPortLatency = 3;
+
+/// Bank service occupancy per router-side request (1 request/cycle).
+constexpr unsigned BankServiceLatency = 1;
+
+/// Direct forward link to the next core (forks, p_swcv, tokens).
+constexpr unsigned ForwardLinkLatency = 1;
+
+/// Per-core-hop latency on the backward line (joins, p_swre).
+constexpr unsigned BackwardHopLatency = 1;
 
 /// Deterministic transient-fault injection (docs/ROBUSTNESS.md). Every
 /// fault is drawn from a SplitMix64 stream seeded with \c Seed, so the
@@ -80,18 +105,8 @@ struct SimConfig {
   /// log2 of the per-core shared global bank size in bytes.
   unsigned GlobalBankSizeLog2 = 16; // 64 KiB
 
-  // Functional-unit latencies (issue to result-ready), in cycles.
-  unsigned AluLatency = 1;
-  unsigned MulLatency = 3;
-  unsigned DivLatency = 16;
-
-  /// Local scratchpad access latency (issue to result-ready).
-  unsigned LocalMemLatency = 2;
-
-  /// Own-core shared-bank access through the bank's local port.
-  unsigned GlobalLocalPortLatency = 3;
-
-  /// Per-hop link traversal latency in the router tree.
+  /// Per-hop link traversal latency in the router tree, in cycles (the
+  /// ablation bench sweeps this).
   unsigned RouterHopLatency = 1;
 
   /// Transactions each router-tree link moves per cycle per direction.
@@ -99,15 +114,6 @@ struct SimConfig {
   /// (request + response channels per link pair); the ablation bench
   /// sweeps this.
   unsigned RouterLinkCapacity = 2;
-
-  /// Bank service occupancy per router-side request (1 request/cycle).
-  unsigned BankServiceLatency = 1;
-
-  /// Direct forward link to the next core (forks, p_swcv, tokens).
-  unsigned ForwardLinkLatency = 1;
-
-  /// Per-core-hop latency on the backward line (joins, p_swre).
-  unsigned BackwardHopLatency = 1;
 
   /// Abort threshold: cycles without any commit, delivery or hart start
   /// before the machine reports a livelock.

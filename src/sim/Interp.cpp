@@ -11,8 +11,6 @@
 #include "isa/Reg.h"
 #include "sim/Exec.h"
 
-#include <algorithm>
-
 using namespace lbp;
 using namespace lbp::isa;
 using namespace lbp::sim;
@@ -23,47 +21,14 @@ Interp::Interp(const assembler::Program &Prog) : Prog(Prog) {
   Regs[RegT0] = HartRefExit;
 }
 
-const Interp::Page *Interp::findPage(uint32_t Base) const {
-  if (LastPage && LastPage->Base == Base)
-    return LastPage;
-  auto It = std::lower_bound(
-      Pages.begin(), Pages.end(), Base,
-      [](const std::unique_ptr<Page> &P, uint32_t B) { return P->Base < B; });
-  if (It == Pages.end() || (*It)->Base != Base)
-    return nullptr;
-  LastPage = It->get();
-  return LastPage;
-}
-
-Interp::Page &Interp::pageFor(uint32_t Base) {
-  if (LastPage && LastPage->Base == Base)
-    return *const_cast<Page *>(LastPage);
-  auto It = std::lower_bound(
-      Pages.begin(), Pages.end(), Base,
-      [](const std::unique_ptr<Page> &P, uint32_t B) { return P->Base < B; });
-  if (It == Pages.end() || (*It)->Base != Base) {
-    It = Pages.insert(It, std::make_unique<Page>());
-    (*It)->Base = Base;
-  }
-  LastPage = It->get();
-  return **It;
-}
-
 uint32_t Interp::readWord(uint32_t Addr) const {
   uint32_t A = Addr & ~3u;
-  uint32_t Idx = (A % (PageWords * 4)) / 4;
-  if (const Page *P = findPage(A - Idx * 4))
-    if (P->Written[Idx / 64] >> (Idx % 64) & 1)
-      return P->Words[Idx];
-  return Prog.readWord(A);
+  auto It = Written.find(A);
+  return It != Written.end() ? It->second : Prog.readWord(A);
 }
 
 void Interp::writeWord(uint32_t Addr, uint32_t Value) {
-  uint32_t A = Addr & ~3u;
-  uint32_t Idx = (A % (PageWords * 4)) / 4;
-  Page &P = pageFor(A - Idx * 4);
-  P.Words[Idx] = Value;
-  P.Written[Idx / 64] |= 1ull << (Idx % 64);
+  Written[Addr & ~3u] = Value;
 }
 
 uint32_t Interp::readMem(uint32_t Addr, unsigned Width,
@@ -159,12 +124,14 @@ InterpStatus Interp::run(uint64_t MaxSteps) {
         setReg(I.Rd, readMem(Regs[RegSP] + Imm, 4, false));
         break;
       case Opcode::P_SWRE:
-        if (Imm >= 0 && static_cast<unsigned>(Imm) < MailboxSlots)
-          Mailbox[Imm] = B;
+        if (Imm >= ResultSlots)
+          return InterpStatus::Fault;
+        Mailbox[Imm] = B;
         break;
       case Opcode::P_LWRE:
-        if (Imm >= 0 && static_cast<unsigned>(Imm) < MailboxSlots)
-          setReg(I.Rd, Mailbox[Imm]);
+        if (Imm >= ResultSlots)
+          return InterpStatus::Fault;
+        setReg(I.Rd, Mailbox[Imm]);
         break;
       case Opcode::P_JAL:
         // Sequential fork: run the function now, continuation after.

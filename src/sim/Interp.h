@@ -37,10 +37,10 @@
 #define LBP_SIM_INTERP_H
 
 #include "asm/Program.h"
+#include "sim/Config.h"
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <unordered_map>
 
 namespace lbp {
 namespace sim {
@@ -50,6 +50,8 @@ enum class InterpStatus : uint8_t {
   MaxSteps,    ///< Budget exhausted.
   BadInstr,    ///< Undecodable word reached.
   Unsupported, ///< An X_PAR form with no sequential meaning here.
+  Fault,       ///< p_swre/p_lwre slot >= ResultSlots (the Machine
+               ///< faults on it too).
 };
 
 /// Sequential reference interpreter.
@@ -81,32 +83,13 @@ private:
   uint32_t Pc;
   uint32_t Regs[32] = {0};
 
-  // Written memory, overlaying the program image. Used to be a
-  // std::map<uint32_t, uint32_t> (one tree node per word); the flat
-  // paged store makes the per-access cost a binary search over a
-  // handful of pages plus an array index, and stops allocating once
-  // the working set's pages exist. Unwritten words fall through to the
-  // image, so each page tracks written words in a bitmap.
-  static constexpr uint32_t PageWords = 1024; // 4 KiB pages
-  struct Page {
-    uint32_t Base; ///< First byte address covered (page-aligned).
-    uint32_t Words[PageWords];
-    uint64_t Written[PageWords / 64] = {};
-  };
-  std::vector<std::unique_ptr<Page>> Pages; ///< Sorted by Base.
-  /// Memoized last-touched page: accesses cluster (stack frames, array
-  /// sweeps), so most lookups hit here and skip the binary search.
-  /// Page objects are heap-stable (unique_ptr), so inserting into Pages
-  /// never invalidates it.
-  mutable const Page *LastPage = nullptr;
+  /// Written words by aligned address, overlaying the program image:
+  /// unwritten words fall through to it.
+  std::unordered_map<uint32_t, uint32_t> Written;
   uint64_t Steps = 0;
 
-  const Page *findPage(uint32_t Base) const;
-  Page &pageFor(uint32_t Base);
-
   // Sequential result mailbox for p_swre/p_lwre.
-  static constexpr unsigned MailboxSlots = 8;
-  uint32_t Mailbox[MailboxSlots] = {0};
+  uint32_t Mailbox[ResultSlots] = {0};
 
   uint32_t readMem(uint32_t Addr, unsigned Width, bool SignExt) const;
   void writeMem(uint32_t Addr, uint32_t Value, unsigned Width);

@@ -913,13 +913,13 @@ bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
 
   switch (IssueKinds[static_cast<unsigned>(I.Op)]) {
   case IssueKind::Alu:
-    Complete(evalOp(I, A, B, E.Pc), Cfg.AluLatency);
+    Complete(evalOp(I, A, B, E.Pc), AluLatency);
     return true;
   case IssueKind::Mul:
-    Complete(evalOp(I, A, B, E.Pc), Cfg.MulLatency);
+    Complete(evalOp(I, A, B, E.Pc), MulLatency);
     return true;
   case IssueKind::Div:
-    Complete(evalOp(I, A, B, E.Pc), Cfg.DivLatency);
+    Complete(evalOp(I, A, B, E.Pc), DivLatency);
     return true;
 
   // Counter reads sample machine state the pure evaluator cannot see.
@@ -928,15 +928,15 @@ bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
   case IssueKind::Counter:
     Complete(I.Op == Opcode::RDCYCLE ? static_cast<uint32_t>(Cycle)
                                      : static_cast<uint32_t>(H.Retired),
-             Cfg.AluLatency);
+             AluLatency);
     return true;
 
   case IssueKind::Branch: {
     bool Taken = evalBranch(I.Op, A, B);
     H.Pc = E.Pc + (Taken ? static_cast<uint32_t>(I.Imm) : 4u);
     H.PcValid = true;
-    H.NoFetchUntil = Cycle + Cfg.AluLatency;
-    FinishNoResult(Cfg.AluLatency);
+    H.NoFetchUntil = Cycle + AluLatency;
+    FinishNoResult(AluLatency);
     return true;
   }
 
@@ -944,10 +944,10 @@ bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
     if (I.Op == Opcode::JALR) {
       H.Pc = (A + static_cast<uint32_t>(I.Imm)) & ~1u;
       H.PcValid = true;
-      H.NoFetchUntil = Cycle + Cfg.AluLatency;
+      H.NoFetchUntil = Cycle + AluLatency;
     }
     // JAL resolved its target at decode; both produce the link value.
-    Complete(E.Pc + 4, Cfg.AluLatency);
+    Complete(E.Pc + 4, AluLatency);
     return true;
 
   case IssueKind::Mem:
@@ -1057,7 +1057,7 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
             ? Net.routeForward(CoreId, LocalCore, Cycle) - Cycle
             : 0;
     AccessCycle = Cycle + Extra + 1;
-    RespCycle = Cycle + Extra + Cfg.LocalMemLatency;
+    RespCycle = Cycle + Extra + LocalMemLatency;
     IsLocal = true;
     ++LocalAccesses;
   } else if (isGlobalAddr(Addr)) {
@@ -1088,7 +1088,7 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
     H.RbBusy = true;
     H.RbReady = true;
     H.RbValue = Value;
-    H.RbReadyCycle = Cycle + Cfg.LocalMemLatency;
+    H.RbReadyCycle = Cycle + LocalMemLatency;
     H.RbEntry = static_cast<int8_t>(RobIdx);
     E.State = RobEntry::St::Issued;
     return true;
@@ -1104,7 +1104,7 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
     ++H.OutstandingMem;
     H.PendingStoreWords.push_back(Addr & ~3u);
     E.State = RobEntry::St::Done;
-    E.DoneCycle = Cycle + Cfg.AluLatency;
+    E.DoneCycle = Cycle + AluLatency;
   } else {
     H.RbBusy = true;
     H.RbReady = false;
@@ -1179,25 +1179,25 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
 
   switch (I.Op) {
   case Opcode::P_SET:
-    GrabRb(hartRefSet(A, SelfId), Cycle + Cfg.AluLatency);
+    GrabRb(hartRefSet(A, SelfId), Cycle + AluLatency);
     return true;
 
   case Opcode::P_MERGE:
-    GrabRb(hartRefMerge(A, B), Cycle + Cfg.AluLatency);
+    GrabRb(hartRefMerge(A, B), Cycle + AluLatency);
     return true;
 
   case Opcode::P_SYNCM:
     // The fetch block was raised at decode; the instruction itself is a
     // one-cycle no-op in the window.
     E.State = RobEntry::St::Done;
-    E.DoneCycle = Cycle + Cfg.AluLatency;
+    E.DoneCycle = Cycle + AluLatency;
     return true;
 
   case Opcode::P_FC: {
     int Target = allocateHart(CoreId, SelfId);
     if (Target < 0)
       return false; // retry when a hart frees up
-    GrabRb(static_cast<uint32_t>(Target), Cycle + Cfg.AluLatency);
+    GrabRb(static_cast<uint32_t>(Target), Cycle + AluLatency);
     return true;
   }
 
@@ -1212,7 +1212,7 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
     if (Target < 0)
       return false;
     GrabRb(static_cast<uint32_t>(Target),
-           Cycle + 1 + 2 * Cfg.ForwardLinkLatency);
+           Cycle + 1 + 2 * ForwardLinkLatency);
     return true;
   }
 
@@ -1222,7 +1222,7 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
     if (IsRet) {
       // Ending protocol: values captured, decision at commit.
       E.State = RobEntry::St::Done;
-      E.DoneCycle = Cycle + Cfg.AluLatency;
+      E.DoneCycle = Cycle + AluLatency;
       return true;
     }
     // Fork-calls read the target hart's state (possibly on the next
@@ -1255,9 +1255,9 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
     if (I.Op == Opcode::P_JALR) {
       H.Pc = B;
       H.PcValid = true;
-      H.NoFetchUntil = Cycle + Cfg.AluLatency;
+      H.NoFetchUntil = Cycle + AluLatency;
     }
-    GrabRb(0, Cycle + Cfg.AluLatency); // "clear rd"
+    GrabRb(0, Cycle + AluLatency); // "clear rd"
     return true;
   }
 
@@ -1284,7 +1284,7 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
     D.Slot = static_cast<uint8_t>(Slot);
     schedule(Net.routeBackward(CoreId, TargetCore, Cycle), D);
     E.State = RobEntry::St::Done;
-    E.DoneCycle = Cycle + Cfg.AluLatency;
+    E.DoneCycle = Cycle + AluLatency;
     return true;
   }
 
@@ -1307,7 +1307,7 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
         break;
       }
     }
-    GrabRb(Value, Cycle + Cfg.AluLatency);
+    GrabRb(Value, Cycle + AluLatency);
     return true;
   }
 

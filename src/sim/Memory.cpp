@@ -135,7 +135,8 @@ void MemorySystem::writeGlobal(unsigned Bank, uint32_t Offset, uint32_t Value,
 //===----------------------------------------------------------------------===//
 
 Interconnect::Interconnect(const SimConfig &Config)
-    : Cfg(Config), NumCores(Config.NumCores) {
+    : NumCores(Config.NumCores), HopLatency(Config.RouterHopLatency),
+      LinkCapacity(Config.RouterLinkCapacity) {
   unsigned NumR1 = (NumCores + 3) / 4;
   unsigned NumR2 = (NumR1 + 3) / 4;
   CoreUp.assign(NumCores, 0);
@@ -161,10 +162,10 @@ Interconnect::Interconnect(const SimConfig &Config)
 
 uint64_t Interconnect::hop(std::vector<uint64_t> &Links, unsigned Slot,
                            uint64_t At, unsigned Latency, LinkClass C) {
-  // Reservations are kept in sub-cycle "slots": RouterLinkCapacity
+  // Reservations are kept in sub-cycle "slots": LinkCapacity
   // transactions share each cycle of the link.
   assert(Slot < Links.size() && "link index out of range");
-  uint64_t Cap = Cfg.RouterLinkCapacity;
+  uint64_t Cap = LinkCapacity;
   uint64_t AtSlot = At * Cap;
   if (AtSlot >= Links[Slot]) {
     // Uncontended: the packet departs in its own slot, whose cycle is
@@ -204,42 +205,41 @@ Interconnect::GlobalPath Interconnect::routeGlobal(unsigned Core,
   // router traffic (the port is private to the core and only one
   // instruction issues per core per cycle).
   if (Core == Bank) {
-    uint64_t Served = Now + Cfg.GlobalLocalPortLatency;
+    uint64_t Served = Now + GlobalLocalPortLatency;
     return {Served, Served};
   }
 
-  unsigned HopLat = Cfg.RouterHopLatency;
   unsigned G1 = Core / 4, G2 = Bank / 4; // r1 groups
   unsigned Q1 = G1 / 4, Q2 = G2 / 4;     // r2 quads
 
   // Request path up to the bank (request channels).
-  uint64_t T = hop(CoreUp, Core, Now, HopLat, LinkClass::CoreUp);
+  uint64_t T = hop(CoreUp, Core, Now, HopLatency, LinkClass::CoreUp);
   if (G1 != G2) {
-    T = hop(R1UpReq, G1, T, HopLat, LinkClass::R1Up);
+    T = hop(R1UpReq, G1, T, HopLatency, LinkClass::R1Up);
     if (Q1 != Q2) {
-      T = hop(R2UpReq, Q1, T, HopLat, LinkClass::R2Up);
-      T = hop(R2DownReq, Q2, T, HopLat, LinkClass::R2Down);
+      T = hop(R2UpReq, Q1, T, HopLatency, LinkClass::R2Up);
+      T = hop(R2DownReq, Q2, T, HopLatency, LinkClass::R2Down);
     }
-    T = hop(R1DownReq, G2, T, HopLat, LinkClass::R1Down);
+    T = hop(R1DownReq, G2, T, HopLatency, LinkClass::R1Down);
   }
-  T = hop(BankIn, Bank, T, HopLat, LinkClass::BankIn);
+  T = hop(BankIn, Bank, T, HopLatency, LinkClass::BankIn);
 
   // Bank service through the router-side port (one request per cycle).
   ++BankReqs[Bank];
-  uint64_t Served = serialHop(BankPort, Bank, T, Cfg.BankServiceLatency, LinkClass::BankPort);
-  BankWait[Bank] += Served - Cfg.BankServiceLatency - T;
+  uint64_t Served = serialHop(BankPort, Bank, T, BankServiceLatency, LinkClass::BankPort);
+  BankWait[Bank] += Served - BankServiceLatency - T;
 
   // Response path back to the core (result channels).
-  T = hop(BankOut, Bank, Served, HopLat, LinkClass::BankOut);
+  T = hop(BankOut, Bank, Served, HopLatency, LinkClass::BankOut);
   if (G1 != G2) {
-    T = hop(R1UpResp, G2, T, HopLat, LinkClass::R1Up);
+    T = hop(R1UpResp, G2, T, HopLatency, LinkClass::R1Up);
     if (Q1 != Q2) {
-      T = hop(R2UpResp, Q2, T, HopLat, LinkClass::R2Up);
-      T = hop(R2DownResp, Q1, T, HopLat, LinkClass::R2Down);
+      T = hop(R2UpResp, Q2, T, HopLatency, LinkClass::R2Up);
+      T = hop(R2DownResp, Q1, T, HopLatency, LinkClass::R2Down);
     }
-    T = hop(R1DownResp, G1, T, HopLat, LinkClass::R1Down);
+    T = hop(R1DownResp, G1, T, HopLatency, LinkClass::R1Down);
   }
-  T = hop(CoreDown, Core, T, HopLat, LinkClass::CoreDown);
+  T = hop(CoreDown, Core, T, HopLatency, LinkClass::CoreDown);
   return {Served, T};
 }
 
@@ -249,7 +249,7 @@ uint64_t Interconnect::routeForward(unsigned FromCore, unsigned ToCore,
     return Now + 1;
   assert(ToCore == FromCore + 1 && "forward link only reaches the next core");
   ++FwdCount[FromCore];
-  return serialHop(Forward, FromCore, Now, Cfg.ForwardLinkLatency, LinkClass::Forward);
+  return serialHop(Forward, FromCore, Now, ForwardLinkLatency, LinkClass::Forward);
 }
 
 uint64_t Interconnect::routeBackward(unsigned FromCore, unsigned ToCore,
@@ -260,7 +260,7 @@ uint64_t Interconnect::routeBackward(unsigned FromCore, unsigned ToCore,
   uint64_t T = Now;
   for (unsigned C = FromCore; C != ToCore; --C) {
     ++BwdCount[C];
-    T = serialHop(Backward, C, T, Cfg.BackwardHopLatency, LinkClass::Backward);
+    T = serialHop(Backward, C, T, BackwardHopLatency, LinkClass::Backward);
   }
   return T;
 }
@@ -268,7 +268,7 @@ uint64_t Interconnect::routeBackward(unsigned FromCore, unsigned ToCore,
 Interconnect::GlobalPath Interconnect::routeIo(uint64_t Now) {
   // Device controllers sit behind a constant-latency path; their single
   // shared port serializes concurrent accesses.
-  uint64_t Arrive = Now + Cfg.GlobalLocalPortLatency;
+  uint64_t Arrive = Now + GlobalLocalPortLatency;
   uint64_t Depart = Arrive;
   if (IoPort > Depart) {
     Contention += IoPort - Depart;
@@ -276,5 +276,5 @@ Interconnect::GlobalPath Interconnect::routeIo(uint64_t Now) {
   }
   IoPort = Depart + 1;
   uint64_t Served = Depart + 1;
-  return {Served, Served + Cfg.GlobalLocalPortLatency};
+  return {Served, Served + GlobalLocalPortLatency};
 }

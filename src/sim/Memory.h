@@ -178,8 +178,9 @@ public:
 
 private:
   friend struct SnapshotAccess;
-  const SimConfig Cfg;
   unsigned NumCores;
+  unsigned HopLatency;   // SimConfig::RouterHopLatency
+  unsigned LinkCapacity; // SimConfig::RouterLinkCapacity
 
   // One next-free reservation per unidirectional channel. The r1/r2
   // trunks carry requests and results on separate channels (the paper's
@@ -211,9 +212,8 @@ private:
   std::vector<uint64_t> BankReqs;  // per bank, router-side port
   std::vector<uint64_t> BankWait;  // per bank, queued cycles
 
-  /// One hop over the tree link at \p Slot (RouterLinkCapacity
-  /// transactions per cycle): returns the arrival cycle of a packet
-  /// presented at \p At.
+  /// One hop over the tree link at \p Slot (LinkCapacity transactions
+  /// per cycle): returns the arrival cycle of a packet presented at \p At.
   uint64_t hop(std::vector<uint64_t> &Links, unsigned Slot, uint64_t At,
                unsigned Latency, LinkClass C);
 

@@ -53,16 +53,8 @@ uint64_t lbp::sim::snapshotConfigDigest(const SimConfig &Cfg) {
   EventHash H;
   H.addWord(Cfg.NumCores);
   H.addWord(Cfg.GlobalBankSizeLog2);
-  H.addWord(Cfg.AluLatency);
-  H.addWord(Cfg.MulLatency);
-  H.addWord(Cfg.DivLatency);
-  H.addWord(Cfg.LocalMemLatency);
-  H.addWord(Cfg.GlobalLocalPortLatency);
   H.addWord(Cfg.RouterHopLatency);
   H.addWord(Cfg.RouterLinkCapacity);
-  H.addWord(Cfg.BankServiceLatency);
-  H.addWord(Cfg.ForwardLinkLatency);
-  H.addWord(Cfg.BackwardHopLatency);
   H.addWord(Cfg.ProgressGuard);
   H.addWord(Cfg.CollectStallStats);
   H.addWord(Cfg.CollectCounters);

@@ -127,15 +127,19 @@ Instr randomInstr(Opcode Op, SplitMix64 &Rng) {
 void expectSameInstr(const Instr &A, const Instr &B) {
   const InstrInfo &Info = instrInfo(A.Op);
   EXPECT_EQ(A.Op, B.Op);
-  if (Info.WritesRd)
+  if (Info.WritesRd) {
     EXPECT_EQ(A.Rd, B.Rd);
+  }
   if (Info.ReadsRs1 || Info.Form == Format::I || Info.Form == Format::S ||
-      Info.Form == Format::B || Info.Form == Format::XParS)
+      Info.Form == Format::B || Info.Form == Format::XParS) {
     EXPECT_EQ(A.Rs1, B.Rs1) << instrInfo(A.Op).Mnemonic;
-  if (Info.ReadsRs2)
+  }
+  if (Info.ReadsRs2) {
     EXPECT_EQ(A.Rs2, B.Rs2) << instrInfo(A.Op).Mnemonic;
-  if (Info.Form != Format::R && Info.Form != Format::XParR)
+  }
+  if (Info.Form != Format::R && Info.Form != Format::XParR) {
     EXPECT_EQ(A.Imm, B.Imm) << instrInfo(A.Op).Mnemonic;
+  }
 }
 
 class EncodingRoundTrip : public ::testing::TestWithParam<unsigned> {};

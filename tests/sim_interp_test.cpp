@@ -63,6 +63,23 @@ loop:
   EXPECT_EQ(I.steps(), 500u);
 }
 
+TEST(Interp, BadResultSlotFaultsLikeTheMachine) {
+  // A slot past the result buffer is a fault on the machine, so the
+  // sequential reference must not accept the program either.
+  for (const char *Op : {"p_lwre a0, 99", "p_swre zero, a0, 99"}) {
+    std::string Src = std::string("main:\n    ") + Op +
+                      "\n    li ra, 0\n    li t0, -1\n    p_ret\n";
+    assembler::Program P = assembleOk(Src);
+    Interp I(P);
+    EXPECT_EQ(I.run(100), InterpStatus::Fault) << Op;
+    EXPECT_EQ(I.pc(), P.entry()) << Op;
+
+    Machine M(SimConfig::lbp(1));
+    M.load(P);
+    EXPECT_EQ(M.run(1000), RunStatus::Fault) << Op;
+  }
+}
+
 TEST(Interp, SequentialForkRunsFunctionThenContinuation) {
   // The referential order: p_jalr runs the "thread" first, then the
   // continuation, in one stream.

@@ -66,7 +66,7 @@ SimConfig cfg(unsigned Cores) {
 TEST(Interconnect, OwnBankUsesTheLocalPort) {
   Interconnect N(cfg(4));
   auto P = N.routeGlobal(2, 2, 100);
-  EXPECT_EQ(P.BankCycle, 100 + cfg(4).GlobalLocalPortLatency);
+  EXPECT_EQ(P.BankCycle, 100 + GlobalLocalPortLatency);
   EXPECT_EQ(P.ResponseCycle, P.BankCycle);
   EXPECT_EQ(N.contentionCycles(), 0u);
 }
@@ -137,12 +137,11 @@ TEST(Interconnect, ForwardLinkIsOnePerCycle) {
 }
 
 TEST(Interconnect, BackwardLineAccumulatesPerHop) {
-  SimConfig C = cfg(8);
-  Interconnect N(C);
+  Interconnect N(cfg(8));
   uint64_t OneHop = N.routeBackward(3, 2, 100) - 100;
   uint64_t FiveHops = N.routeBackward(7, 2, 200) - 200;
-  EXPECT_EQ(OneHop, C.BackwardHopLatency);
-  EXPECT_EQ(FiveHops, 5 * C.BackwardHopLatency);
+  EXPECT_EQ(OneHop, BackwardHopLatency);
+  EXPECT_EQ(FiveHops, 5 * BackwardHopLatency);
 }
 
 TEST(Interconnect, IdenticalRequestSequencesTimeIdentically) {

@@ -579,7 +579,7 @@ TEST(Snapshot, RejectsBadMagicVersionDigestAndTruncation) {
   }
   { // Behaviorally different config: digest must refuse.
     SimConfig Other = Cfg;
-    Other.AluLatency += 1;
+    Other.RouterHopLatency += 1;
     Machine R(Other);
     EXPECT_FALSE(R.restoreSnapshot(Blob, Err));
     EXPECT_NE(Err.find("digest"), std::string::npos) << Err;
@@ -957,7 +957,8 @@ TEST(Snapshot, BlobBytesArePinned) {
   // points. The save -> restore -> save tests compare two blobs of one
   // build, so only literal values catch a layout change that both
   // directions make alike. A deliberate format change bumps
-  // SnapshotFormatVersion and re-records these.
+  // SnapshotFormatVersion and re-records these; a change to the config
+  // digest (snapshotConfigDigest) re-records only the hashes.
   struct Pin {
     size_t Size;
     uint64_t Hash;
@@ -967,7 +968,7 @@ TEST(Snapshot, BlobBytesArePinned) {
     EXPECT_EQ(Blob.size(), Want.Size) << What;
     EXPECT_EQ(fnv1a(Blob), Want.Hash) << What;
   };
-  ExpectPinned(sectionsBlob(), {14193, 0xfec7fa2a2542574aull}, "sections");
+  ExpectPinned(sectionsBlob(), {14193, 0xf5e987806380f36dull}, "sections");
 
   // The wide machine mid-run. The engines reach the same state by
   // different schedules, and the blob holds none of the fast path's
@@ -981,7 +982,7 @@ TEST(Snapshot, BlobBytesArePinned) {
     M.run(2500);
     std::vector<uint8_t> Blob;
     M.saveSnapshot(Blob);
-    ExpectPinned(Blob, {164750, 0x078a882ce895d9bfull},
+    ExpectPinned(Blob, {164750, 0x75260e14c519d90bull},
                  FastPath ? "wide, fast path" : "wide, reference");
   }
 }
