@@ -47,6 +47,7 @@
 #include "romp/AsmText.h"
 #include "romp/Runtime.h"
 #include "sim/Machine.h"
+#include "support/StringUtils.h"
 #include "workloads/MatMul.h"
 #include "workloads/Phases.h"
 
@@ -568,9 +569,10 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
   std::printf("wrote %s\n", Opt.OutPath.c_str());
 }
 
-void printUsage(const char *Argv0) {
-  std::printf(
-      "usage: %s [options]\n"
+void printUsage(FILE *Out) {
+  std::fprintf(
+      Out,
+      "usage: bench_simspeed [options]\n"
       "\n"
       "Host simulation-speed benchmark and engine differential\n"
       "(reference loop vs fast path).\n"
@@ -589,8 +591,7 @@ void printUsage(const char *Argv0) {
       "\n"
       "Exit status: 0 when every gate passes (\"exit_reason\": \"ok\");\n"
       "1 when a gate fails (exit_reason names the first) or a bench run\n"
-      "is broken (no JSON then); 2 bad command line.\n",
-      Argv0);
+      "is broken (no JSON then); 2 bad command line.\n");
 }
 
 } // namespace
@@ -599,7 +600,7 @@ int main(int argc, char **argv) {
   Options Opt;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--help") == 0) {
-      printUsage(argv[0]);
+      printUsage(stdout);
       return 0;
     }
     if (std::strcmp(argv[I], "--quick") == 0) {
@@ -608,12 +609,10 @@ int main(int argc, char **argv) {
       Opt.Counters = true;
     } else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc) {
       Opt.OutPath = argv[++I];
-    } else if (std::strcmp(argv[I], "--perturb") == 0 && I + 1 < argc) {
-      char *End = nullptr;
-      Opt.Perturb = std::strtoull(argv[++I], &End, 0);
-      if (!End || *End || Opt.Perturb == 0) {
-        std::fprintf(stderr, "bench_simspeed: bad --perturb cycle '%s'\n",
-                     argv[I]);
+    } else if (std::strcmp(argv[I], "--perturb") == 0) {
+      if (!parseFlagInteger("bench_simspeed", argc, argv, I, 1, INT64_MAX,
+                            Opt.Perturb)) {
+        printUsage(stderr);
         return 2;
       }
     } else if (std::strcmp(argv[I], "--engines") == 0 && I + 1 < argc) {
@@ -642,7 +641,7 @@ int main(int argc, char **argv) {
     } else {
       std::fprintf(stderr, "bench_simspeed: unknown option '%s'\n",
                    argv[I]);
-      printUsage(argv[0]);
+      printUsage(stderr);
       return 2;
     }
   }

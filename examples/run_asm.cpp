@@ -10,6 +10,9 @@
 //
 //   ./run_asm program.s [cores] [--trace] [--fast] [--disasm]
 //
+// The core count is 1..64 (default 4). A bad count, an unknown option or
+// a missing program prints the usage and exits 2.
+//
 // With --trace, every event is printed as it happens, one JSON line
 // each ("at cycle C, ..."), the style of the paper's Section 1 example
 // statements, ahead of the summary. With
@@ -24,6 +27,7 @@
 #include "obs/Perfetto.h"
 #include "sim/Interp.h"
 #include "sim/Machine.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstring>
@@ -34,14 +38,35 @@
 using namespace lbp;
 using namespace lbp::sim;
 
+static int usage() {
+  std::fprintf(stderr, "usage: run_asm program.s [cores 1..64] [--trace] "
+                       "[--fast] [--disasm]\n");
+  return 2;
+}
+
 int main(int argc, char **argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s program.s [cores] [--trace] [--fast] "
-                 "[--disasm]\n",
-                 argv[0]);
-    return 1;
+  if (argc < 2 || argv[1][0] == '-')
+    return usage();
+
+  unsigned Cores = 4;
+  bool TraceOn = false, Fast = false, Disasm = false;
+  for (int A = 2; A < argc; ++A) {
+    if (std::strcmp(argv[A], "--trace") == 0) {
+      TraceOn = true;
+    } else if (std::strcmp(argv[A], "--fast") == 0) {
+      Fast = true;
+    } else if (std::strcmp(argv[A], "--disasm") == 0) {
+      Disasm = true;
+    } else {
+      // Anything else must be the core count. A misspelt flag is no
+      // number, and a count the machine cannot have is out of range.
+      std::optional<int64_t> N = parseInteger(argv[A]);
+      if (!N || *N < 1 || *N > 64)
+        return usage();
+      Cores = static_cast<unsigned>(*N);
+    }
   }
+
   std::ifstream In(argv[1]);
   if (!In) {
     std::fprintf(stderr, "error: cannot open %s\n", argv[1]);
@@ -49,19 +74,6 @@ int main(int argc, char **argv) {
   }
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
-
-  unsigned Cores = 4;
-  bool TraceOn = false, Fast = false, Disasm = false;
-  for (int A = 2; A < argc; ++A) {
-    if (std::strcmp(argv[A], "--trace") == 0)
-      TraceOn = true;
-    else if (std::strcmp(argv[A], "--fast") == 0)
-      Fast = true;
-    else if (std::strcmp(argv[A], "--disasm") == 0)
-      Disasm = true;
-    else
-      Cores = static_cast<unsigned>(std::atoi(argv[A]));
-  }
 
   assembler::AsmResult R = assembler::assemble(Buffer.str());
   if (!R.succeeded()) {

@@ -230,8 +230,8 @@ void Checker::sweep(Machine &M) {
 
   // Delivery-wheel audit (amortized: a full wheel recount every 64
   // sweeps): the incremental pending counter must match the wheel plus
-  // the far-future overflow heap. The recount walks the busy slots'
-  // lists; it never trusts the machine's own WheelCount.
+  // the far-future overflow heap, recounted by walking the busy slots'
+  // lists.
   if (SweepCount % 64 == 0) {
     uint64_t OnWheel = M.Overflow.size();
     M.forEachBusySlot([&](uint64_t Slot) {
@@ -255,59 +255,4 @@ void Checker::sweep(Machine &M) {
         assert(H.Sched == H.summarizeRob() &&
                "hart scheduling summary drifted from its ROB");
   }
-}
-
-uint64_t Checker::nextSweepConcern(const Machine &M) const {
-  const uint64_t I = CheckInterval;
-  // The next sweep boundary strictly after the current cycle.
-  const uint64_t Next = (M.Cycle / I + 1) * I;
-  uint64_t Concern = UINT64_MAX;
-
-  // One pass over the harts for both per-hart invariants.
-  //
-  // Token conservation: Held and TokensInFlight cannot change while the
-  // machine is frozen, so an imbalance that exists now is reported by
-  // the very next sweep (and nothing can fire earlier than that).
-  //
-  // Reserved-hart leak: a frozen Reserved hart keeps aging across the
-  // skip and trips the threshold at a known cycle; the report lands on
-  // the first sweep boundary at or past that cycle.
-  uint64_t LeakThreshold = M.Cfg.ProgressGuard / 2;
-  if (LeakThreshold < I)
-    LeakThreshold = I;
-  uint64_t Held = 0;
-  bool Live = TokensInFlight != 0;
-  for (const Core &C : M.Cores) {
-    for (const Hart &H : C.Harts) {
-      Held += H.Token;
-      if (H.State == HartState::Free)
-        continue;
-      Live = true;
-      if (H.State != HartState::Reserved)
-        continue;
-      uint64_t Fires = H.StateSince + LeakThreshold + 1;
-      uint64_t Boundary = (Fires + I - 1) / I * I;
-      if (Boundary < Next)
-        Boundary = Next;
-      if (Boundary < Concern)
-        Concern = Boundary;
-    }
-  }
-  if (Live && Held + TokensInFlight != 1)
-    return Next;
-
-  // Wheel audit: the wheel contents and the pending counter are both
-  // constant while frozen, so a divergence that exists now surfaces at
-  // the next every-64th-sweep recount.
-  if (M.WheelCount + M.Overflow.size() != PendingDeliveries) {
-    uint64_t SweepsUntilAudit = 64 - SweepCount % 64;
-    uint64_t Audit = Next + (SweepsUntilAudit - 1) * I;
-    if (Audit < Concern)
-      Concern = Audit;
-  }
-  return Concern;
-}
-
-void Checker::onSkip(uint64_t FromCycle, uint64_t ToCycle) {
-  SweepCount += ToCycle / CheckInterval - FromCycle / CheckInterval;
 }

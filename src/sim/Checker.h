@@ -87,23 +87,10 @@ public:
   /// invariants, reporting at most one violation of the latter.
   void onDelivered(Machine &M, const Delivery &D);
 
-  /// Periodic invariant sweep over the whole machine.
+  /// Periodic invariant sweep over the whole machine. Both engines call
+  /// it at every CheckInterval boundary, so SweepCount, and with it the
+  /// every-64th-sweep wheel audit, is the same on both.
   void sweep(Machine &M);
-
-  /// Fast-path support: the earliest future cycle at which a periodic
-  /// sweep could report something, given the machine state frozen as it
-  /// is now (no deliveries, no stage actions). Quiescence fast-forward
-  /// must not jump past this cycle, so a violation that the reference
-  /// path's per-cycle sweeps would catch fires at the identical cycle.
-  /// Returns UINT64_MAX when no frozen-state sweep can ever report.
-  uint64_t nextSweepConcern(const Machine &M) const;
-
-  /// Fast-path support: account for the sweeps that quiescence
-  /// fast-forward skipped over ((FromCycle, ToCycle]; none of them would
-  /// have reported, per nextSweepConcern). Keeps SweepCount — and with
-  /// it the every-64th-sweep wheel-audit cadence — identical to the
-  /// reference path.
-  void onSkip(uint64_t FromCycle, uint64_t ToCycle);
 
   const std::vector<MachineCheck> &checks() const { return Checks; }
 

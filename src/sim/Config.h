@@ -119,14 +119,14 @@ struct SimConfig {
   /// before the machine reports a livelock.
   uint64_t ProgressGuard = 1000000;
 
-  /// Fast simulation path (docs/PERFORMANCE.md): quiescence
-  /// fast-forward over empty cycles, per-core sleep/wake scheduling so
-  /// the pipeline stages only run on cores with in-flight work, and a
-  /// pre-decoded text segment. The event stream is bit-identical with
-  /// the flag on or off — same traceHash(), cycles(), RunStatus and
-  /// counters, stall tallies included — which the differential tests
-  /// enforce; the reference path survives as the oracle. This flag
-  /// alone selects the cycle loop.
+  /// Fast simulation path (docs/PERFORMANCE.md): the loop still steps
+  /// through every cycle, but per-core sleep/wake scheduling runs the
+  /// pipeline stages only on awake cores and skips the sleeping ones,
+  /// and the text segment is pre-decoded. The event stream is
+  /// bit-identical with the flag on or off — same traceHash(), cycles(),
+  /// RunStatus and counters, stall tallies included — which the
+  /// differential tests enforce; the reference path survives as the
+  /// oracle. This flag alone selects the cycle loop.
   bool FastPath = true;
 
   /// Classify why each core issued nothing in a cycle (adds a scan per

@@ -29,6 +29,7 @@ Machine::Machine(const SimConfig &Config)
     : Cfg(Config), Mem(Config), Net(Config),
       FPlan(Config.Faults, Config.NumCores), Cores(Config.NumCores),
       WheelSlots(std::make_unique_for_overwrite<WheelSlot[]>(WheelSize)) {
+  assert(Config.NumCores != 0 && "a machine has at least one core");
   StallByCore.assign(Cfg.NumCores * NumStallSlots, 0);
   LastTally.assign(Cfg.NumCores, {});
   CoreWake.assign(Cfg.NumCores, 0);
@@ -240,14 +241,12 @@ void Machine::wheelAppend(uint64_t Slot, const Delivery &D) {
     S.Head = N;
   S.Tail = N;
   Word |= Bit;
-  ++WheelCount;
 }
 
 void Machine::clearWheel() {
   WheelPool.clear();
   FreeNode = NoNode;
   WheelBusy.fill(0);
-  WheelCount = 0;
 }
 
 void Machine::collectDue() {
@@ -264,7 +263,6 @@ void Machine::collectDue() {
     const WheelSlot &S = WheelSlots[Slot];
     for (uint32_t N = S.Head; N != NoNode; N = WheelPool[N].Next)
       DueBuf.push_back(WheelPool[N].D);
-    WheelCount -= DueBuf.size();
     WheelPool[S.Tail].Next = FreeNode;
     FreeNode = S.Head;
   }
@@ -1473,32 +1471,6 @@ uint64_t Machine::coreWakeCycle(const Core &C, uint64_t Now) const {
   return Wake;
 }
 
-uint64_t Machine::nextDeliveryCycle() const {
-  uint64_t Next = Overflow.empty() ? UINT64_MAX : Overflow.front().At;
-  if (WheelCount != 0) {
-    // Every wheel entry lands within WheelSize cycles of now, so the
-    // first busy slot on the walk forward from the next cycle's slot,
-    // wrapping around, is the earliest one. The walk ends back in the
-    // starting word to see the slots before the start.
-    constexpr size_t Words = WheelSize / 64;
-    const uint64_t From = (Cycle + 1) % WheelSize;
-    size_t W = From / 64;
-    uint64_t Bits = WheelBusy[W] & (~uint64_t(0) << (From % 64));
-    for (size_t Step = 0; Step <= Words; ++Step) {
-      if (Bits != 0) {
-        uint64_t Slot = W * 64 + __builtin_ctzll(Bits);
-        uint64_t At = Cycle + 1 + (Slot - From) % WheelSize;
-        if (At < Next)
-          Next = At;
-        break;
-      }
-      W = (W + 1) % Words;
-      Bits = WheelBusy[W];
-    }
-  }
-  return Next;
-}
-
 bool Machine::coreStages(unsigned CoreId) {
   bool CoreActed = stageCommit(CoreId);
   if (Halted)
@@ -1523,7 +1495,7 @@ void Machine::cycleStages() {
   }
 }
 
-bool Machine::cycleAwakeStages() {
+void Machine::cycleAwakeStages() {
   // Sleepers whose timer expires this cycle rejoin the awake set.
   for (size_t W = 0; W != Timed.size(); ++W)
     for (uint64_t Bits = Timed[W]; Bits != 0; Bits &= Bits - 1) {
@@ -1540,18 +1512,16 @@ bool Machine::cycleAwakeStages() {
   // actions, so visiting only the awake cores, in ascending order, is
   // invisible to the event stream. The bits of each word are read once:
   // the stages only wake the core being walked or the one before it.
-  bool Acted = false;
   for (size_t W = 0; W != Awake.size(); ++W)
     for (uint64_t Bits = Awake[W]; Bits != 0; Bits &= Bits - 1) {
       unsigned CoreId = static_cast<unsigned>(W * 64) + __builtin_ctzll(Bits);
       bool CoreActed = coreStages(CoreId);
       if (Halted) {
         HaltCore = CoreId;
-        return Acted;
+        return;
       }
       if (CoreActed) {
         CoreWake[CoreId] = Cycle; // stay awake: more work next cycle
-        Acted = true;
         continue;
       }
       uint64_t Wake = coreWakeCycle(Cores[CoreId], Cycle);
@@ -1561,21 +1531,6 @@ bool Machine::cycleAwakeStages() {
       if (Wake != UINT64_MAX)
         Timed[W] |= Bit;
     }
-  return Acted;
-}
-
-uint64_t Machine::nextCoreWakeCycle() const {
-  uint64_t Next = UINT64_MAX;
-  for (size_t W = 0; W != Awake.size(); ++W) {
-    if (Awake[W] != 0)
-      return Cycle + 1;
-    for (uint64_t Bits = Timed[W]; Bits != 0; Bits &= Bits - 1) {
-      uint64_t Wake = CoreWake[W * 64 + __builtin_ctzll(Bits)];
-      if (Wake < Next)
-        Next = Wake;
-    }
-  }
-  return Next;
 }
 
 void Machine::rebuildAwakeSet() {
@@ -1616,9 +1571,8 @@ RunStatus Machine::run(uint64_t MaxCycles) {
       break;
     }
 
-    bool Acted = false;
     if (Cfg.FastPath)
-      Acted = cycleAwakeStages();
+      cycleAwakeStages();
     else
       cycleStages();
     if (Halted)
@@ -1634,44 +1588,6 @@ RunStatus Machine::run(uint64_t MaxCycles) {
       Status = RunStatus::Livelock;
       FaultMsg = livelockReport();
       break;
-    }
-
-    // Quiescence fast-forward: with every core asleep the machine is
-    // frozen until the earliest of (a) a core's own timer, (b) the next
-    // pending delivery, (c) the cycle the livelock guard would fire,
-    // (d) the first checker sweep that could report on the frozen
-    // state. Jump to just before that cycle; the skipped cycles are
-    // exactly the ones on which the reference loop does nothing
-    // observable, so the event stream is bit-identical.
-    if (Cfg.FastPath && !Acted) {
-      uint64_t Target = nextDeliveryCycle();
-      uint64_t Wake = nextCoreWakeCycle();
-      if (Wake < Target)
-        Target = Wake;
-      uint64_t LivelockAt = Cfg.ProgressGuard >= UINT64_MAX - LastProgress
-                                ? UINT64_MAX
-                                : LastProgress + Cfg.ProgressGuard + 1;
-      if (LivelockAt < Target)
-        Target = LivelockAt;
-      if (Cfg.EnableCheckers) {
-        uint64_t Concern = Ck.nextSweepConcern(*this);
-        if (Concern < Target)
-          Target = Concern;
-      }
-      if (Target > Cycle + 1) {
-        // Land on Target itself next iteration; each skipped cycle
-        // consumes budget so a MaxCycles exit reports the same cycles()
-        // as the reference loop.
-        uint64_t Span = Target - Cycle - 1;
-        if (Span > Budget)
-          Span = Budget;
-        if (Span != 0) {
-          if (Cfg.EnableCheckers)
-            Ck.onSkip(Cycle, Cycle + Span);
-          Cycle += Span;
-          Budget -= Span;
-        }
-      }
     }
   }
   // Credit each core through the last cycle the reference loop

@@ -316,23 +316,17 @@ private:
       Timed[CoreId / 64] &= ~Bit;
     }
   }
-  /// Fast path: one pass over the awake cores' stages, ascending.
-  /// Returns true when any core acted; false also on halt.
-  bool cycleAwakeStages();
+  /// Fast path: one pass over the awake cores' stages, ascending. A
+  /// core whose stages did not act leaves the awake set until its timer
+  /// or a wake.
+  void cycleAwakeStages();
   /// Runs \p CoreId's five stages for this cycle; true when any acted.
   /// Leaves \p Halted set when a stage halted the machine; the caller
   /// then records the core in HaltCore.
   bool coreStages(unsigned CoreId);
-  /// Earliest cycle at which any core could act on its own: Cycle + 1
-  /// while a core is awake, else the earliest timer among the sleepers
-  /// (UINT64_MAX when every core waits on a delivery).
-  uint64_t nextCoreWakeCycle() const;
   /// Rebuilds the awake and timer sets from CoreWake (construction and
   /// snapshot restore, which both mark every core awake).
   void rebuildAwakeSet();
-  /// Cycle of the earliest pending delivery strictly after Cycle, or
-  /// UINT64_MAX when none is in flight.
-  uint64_t nextDeliveryCycle() const;
   /// Deliveries on the wheel/overflow map targeting \p HartId.
   unsigned pendingDeliveriesFor(unsigned HartId) const;
   void startHart(unsigned HartId, uint32_t StartPc);
@@ -444,9 +438,6 @@ private:
   std::unique_ptr<WheelSlot[]> WheelSlots;
   /// One bit per slot, set while the slot holds a delivery.
   std::array<uint64_t, WheelSize / 64> WheelBusy{};
-  /// Entries currently on the wheel (excluding Overflow); lets the fast
-  /// path skip the busy-bit walk when the wheel is empty.
-  size_t WheelCount = 0;
   /// Appends \p D to wheel slot \p Slot (schedule and snapshot restore).
   void wheelAppend(uint64_t Slot, const Delivery &D);
   /// Empties the wheel (snapshot restore).

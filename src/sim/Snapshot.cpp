@@ -406,11 +406,6 @@ struct SnapshotAccess {
       delivery(A, E.D, NumHarts);
     });
     A.u64(X.OverflowSeq);
-    // Restore rebuilt the wheel's count while reading its slots.
-    uint64_t WheelCount = X.WheelCount;
-    A.u64(WheelCount);
-    A.check(WheelCount == X.WheelCount,
-            "wheel count does not match the deliveries on the wheel");
 
     A.u64(X.Cycle);
     A.u64(X.LastProgress);

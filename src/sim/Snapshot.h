@@ -86,7 +86,10 @@ constexpr uint32_t SnapshotMagic = 0x5350424Cu;
 /// v7: the trace section is the hash and the perturb fired-flag (the
 /// interval-digest ring, its cursor and its total are gone), and the
 /// cores no longer carry the fast path's sleep cycle (CoreWake).
-constexpr uint32_t SnapshotFormatVersion = 7;
+/// v8: no machine WheelCount after the overflow heap's sequence counter;
+/// the wheel section's slots are the only record of what is on the
+/// wheel.
+constexpr uint32_t SnapshotFormatVersion = 8;
 
 /// Block size of the memory section's sparse bank store (divides
 /// MemorySystem::PageBytes).

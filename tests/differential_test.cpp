@@ -175,9 +175,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Differential,
                                            0xC0FFEEull));
 
 //===----------------------------------------------------------------------===//
-// FastPath differential: the fast engine (SimConfig::FastPath — cycle
-// skipping, active-set scheduling, pre-decoded text) must be an exact
-// no-op on the observable run: same RunStatus, same final cycle count,
+// FastPath differential: the fast engine (SimConfig::FastPath — active-
+// set scheduling that skips sleeping cores, pre-decoded text) must be an
+// exact no-op on the observable run: same RunStatus, same final cycle count,
 // same retired count, same cycle-by-cycle trace hash, same machine
 // checks and same counter snapshot, stall tallies included, as the
 // reference every-core-every-cycle loop. docs/PERFORMANCE.md states the
@@ -323,7 +323,7 @@ worker:
 
 /// Long quiescent stretches: each hart spins in a private ALU loop with
 /// no memory traffic between the fork and the join, so cores sleep on
-/// their own timers and the fast path skips most cycles.
+/// their own timers and the fast path skips them for most cycles.
 std::string quiescentProgram(unsigned NumHarts, unsigned Rounds,
                              unsigned SpinIters) {
   return forkJoinProgram(NumHarts, Rounds, formatString(R"(
@@ -498,7 +498,7 @@ TEST(FastPathDifferential, MatMulTiledUnderFaults) {
 
 TEST(FastPathDifferential, TruncationUnderFaults) {
   // A budget that runs out mid-protocol, inside the fault window: the
-  // skipped cycles and the fired faults must still line up exactly.
+  // sleeping cores and the fired faults must still line up exactly.
   SimConfig PCfg;
   std::string Phases = phasesProgram(PCfg);
   std::string Barrier = barrierProgram(/*NumHarts=*/16, /*Rounds=*/6);
@@ -553,8 +553,8 @@ TEST(FastPathDifferential, TimelineExportsAreEngineInvariant) {
 
 TEST(FastPathDifferential, MaxCyclesTruncation) {
   // A run cut off mid-flight must stop at the same cycle with the same
-  // trace whether or not the engine was skipping quiescent spans: the
-  // fast path charges every skipped cycle against the budget.
+  // trace whether or not the engine was skipping sleeping cores: both
+  // engines charge every cycle against the budget.
   SimConfig Cfg;
   std::string Src = phasesProgram(Cfg);
   for (uint64_t MaxCycles : {100ull, 777ull, 2048ull, 5000ull}) {
@@ -567,9 +567,9 @@ TEST(FastPathDifferential, MaxCyclesTruncation) {
 }
 
 TEST(FastPathDifferential, TruncationMidQuiescentSkip) {
-  // Budgets spread over a run whose spin stretches the fast path skips
-  // through: a skip is clipped to the remaining budget, so wherever the
-  // budget runs out both engines must stop on the same cycle.
+  // Budgets spread over a run whose spin stretches the fast path sleeps
+  // through: wherever the budget runs out, both engines must stop on the
+  // same cycle.
   std::string Src = quiescentProgram(/*NumHarts=*/16, /*Rounds=*/3,
                                      /*SpinIters=*/300);
   assembler::AsmResult R = assembler::assemble(Src);

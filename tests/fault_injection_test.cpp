@@ -383,13 +383,13 @@ TEST(FaultInjection, LivelockReportCountsDeliveriesOnWheelAndOverflow) {
 }
 
 //===----------------------------------------------------------------------===//
-// FastPath interaction: the fast engine (SimConfig::FastPath) skips
-// quiescent cycles and sleeping cores, but faults, machine checks, the
-// livelock guard and the MaxCycles budget must all fire at exactly the
-// same cycle numbers with exactly the same diagnostics as the reference
-// loop. Fault delivery is cycle-triggered (the plan perturbs scheduled
-// deliveries, which the fast path never skips over), so any divergence
-// here means a wake rule or clamp is missing. See docs/PERFORMANCE.md.
+// FastPath interaction: the fast engine (SimConfig::FastPath) skips the
+// stages of sleeping cores, but faults, machine checks, the livelock
+// guard and the MaxCycles budget must all fire at exactly the same cycle
+// numbers with exactly the same diagnostics as the reference loop. Fault
+// delivery is cycle-triggered (the plan perturbs scheduled deliveries,
+// and a delivery wakes its core), so any divergence here means a wake
+// rule is missing. See docs/PERFORMANCE.md.
 //===----------------------------------------------------------------------===//
 
 void expectFastPathAgrees(SimConfig Cfg, unsigned Threads,
@@ -433,11 +433,11 @@ TEST(FastPathFaultInteraction, AllFaultClassesIdenticalOnAndOff) {
   }
 }
 
-// The hardest case for cycle skipping: an undetected token loss leaves
-// the machine completely frozen — no pending deliveries, no timers —
-// so the fast path would skip forever if the livelock guard were not a
-// skip clamp. It must fire at LastProgress + ProgressGuard + 1 with the
-// same per-hart wait report as the reference loop.
+// The longest sleep: an undetected token loss leaves the machine
+// completely frozen — no pending deliveries, no timers — so on the fast
+// path every core sleeps until the livelock guard fires. It must fire at
+// LastProgress + ProgressGuard + 1 with the same per-hart wait report as
+// the reference loop.
 TEST(FastPathFaultInteraction, LivelockFiresAtSameCycleWhileSkipping) {
   for (uint64_t Seed = 1; Seed <= 64; ++Seed) {
     SimConfig Cfg = faultConfig(4, Seed);
@@ -463,7 +463,7 @@ TEST(FastPathFaultInteraction, LivelockFiresAtSameCycleWhileSkipping) {
   FAIL() << "no seed dropped a token inside the run";
 }
 
-// A budget that expires mid-skip: the fast path charges every skipped
+// A budget that expires while cores sleep: both engines charge every
 // cycle against MaxCycles, so truncation lands on the same cycle.
 TEST(FastPathFaultInteraction, MaxCyclesTruncationIdenticalOnAndOff) {
   for (uint64_t MaxCycles : {50ull, 333ull, 650ull}) {

@@ -261,8 +261,9 @@ TEST(Snapshot, BlobIsPortableAcrossEngines) {
 //===----------------------------------------------------------------------===//
 
 /// Harts spinning in private ALU loops: cores sleep on their own timers
-/// most of the time, so the fast path's per-core wake cycles and skipped
-/// spans are live state at almost every snapshot point.
+/// most of the time, so the fast path's per-core wake cycles and its
+/// awake and timer core sets are live state at almost every snapshot
+/// point.
 std::string spinSrc() {
   romp::AsmText Head;
   romp::emitMainPrologue(Head);
@@ -291,11 +292,11 @@ spin:
 }
 
 TEST(Snapshot, ResumeMidQuiescentSpin) {
-  // Snapshot budgets landing inside the long spin stretches. A skipped
-  // span is clipped to the remaining budget, so run(N) always stops
-  // between cycles and the blob is an ordinary state — portable to
-  // either engine, including back to a fast-path run that rebuilds its
-  // sleep schedule from the restored wake cycles.
+  // Snapshot budgets landing inside the long spin stretches, while most
+  // cores sleep. run(N) stops between cycles, so the blob is an ordinary
+  // state — portable to either engine, including back to a fast-path
+  // run that restarts with every core awake and puts the idle ones back
+  // to sleep on their first visit.
   assembler::Program Prog = assembleOrDie(spinSrc());
   for (const EngineCell &From : Cells) {
     if (!From.FastPath)
@@ -610,14 +611,14 @@ void expectOldVersionRejected(uint32_t Version) {
   M.run(100);
   std::vector<uint8_t> Blob;
   M.saveSnapshot(Blob);
-  ASSERT_EQ(SnapshotFormatVersion, 7u);
+  ASSERT_EQ(SnapshotFormatVersion, 8u);
   Blob[4] = static_cast<uint8_t>(Version); // the little-endian u32 after
   Blob[5] = Blob[6] = Blob[7] = 0;         // the magic
   Machine R(Cfg);
   std::string Err;
   EXPECT_FALSE(R.restoreSnapshot(Blob, Err));
   EXPECT_NE(Err.find("format version " + std::to_string(Version) +
-                     " (expected 7)"),
+                     " (expected 8)"),
             std::string::npos)
       << Err;
 }
@@ -676,6 +677,12 @@ TEST(Snapshot, RejectsFormatVersion6Blob) {
   // Version 6 blobs carried the interval-digest ring and each core's
   // fast-path sleep cycle, which v7 leaves out.
   expectOldVersionRejected(6);
+}
+
+TEST(Snapshot, RejectsFormatVersion7Blob) {
+  // Version 7 blobs carried a count of the deliveries on the wheel after
+  // the overflow heap's sequence counter, which v8 leaves out.
+  expectOldVersionRejected(7);
 }
 
 /// Where the memory section's parts sit in a blob: the code image comes
@@ -953,7 +960,7 @@ uint64_t fnv1a(const std::vector<uint8_t> &B) {
 }
 
 TEST(Snapshot, BlobBytesArePinned) {
-  // Format v7 byte for byte: sizes and hashes of blobs saved at fixed
+  // Format v8 byte for byte: sizes and hashes of blobs saved at fixed
   // points. The save -> restore -> save tests compare two blobs of one
   // build, so only literal values catch a layout change that both
   // directions make alike. A deliberate format change bumps
@@ -968,7 +975,7 @@ TEST(Snapshot, BlobBytesArePinned) {
     EXPECT_EQ(Blob.size(), Want.Size) << What;
     EXPECT_EQ(fnv1a(Blob), Want.Hash) << What;
   };
-  ExpectPinned(sectionsBlob(), {14193, 0xf5e987806380f36dull}, "sections");
+  ExpectPinned(sectionsBlob(), {14185, 0x5ceae6c8cf62fff2ull}, "sections");
 
   // The wide machine mid-run. The engines reach the same state by
   // different schedules, and the blob holds none of the fast path's
@@ -982,7 +989,7 @@ TEST(Snapshot, BlobBytesArePinned) {
     M.run(2500);
     std::vector<uint8_t> Blob;
     M.saveSnapshot(Blob);
-    ExpectPinned(Blob, {164750, 0x75260e14c519d90bull},
+    ExpectPinned(Blob, {164742, 0xe4d8f760752904c7ull},
                  FastPath ? "wide, fast path" : "wide, reference");
   }
 }
@@ -1001,15 +1008,14 @@ constexpr size_t OverflowEntryBytes = 16 + DeliveryBytes;
 struct WheelLayout {
   std::vector<size_t> SlotIndex; ///< Each busy slot's u64 index.
   uint64_t Deliveries = 0;       ///< Deliveries the section holds.
-  size_t WheelCount = 0;         ///< The machine's u64 WheelCount.
+  size_t Cycle = 0;              ///< The machine's u64 Cycle.
   size_t PendingDeliveries = 0;  ///< The checker's u64 pending count.
 };
 
 /// Reads the wheel section at \p At: the busy-slot count, each slot's
-/// ascending index and deliveries, then the overflow heap, its sequence
-/// counter and a WheelCount equal to the deliveries read, which the
-/// machine's cycle \p Cycle must follow. False if the bytes there are
-/// not all of that.
+/// ascending index and deliveries, then the overflow heap and its
+/// sequence counter, which the machine's cycle \p Cycle must follow.
+/// False if the bytes there are not all of that.
 bool readWheelAt(const std::vector<uint8_t> &B, size_t At, uint64_t Cycle,
                  WheelLayout &L) {
   auto Fits = [&](size_t N) { return At <= B.size() && B.size() - At >= N; };
@@ -1034,15 +1040,14 @@ bool readWheelAt(const std::vector<uint8_t> &B, size_t At, uint64_t Cycle,
   if (!Fits(8) || readU64(B, At) > B.size())
     return false;
   At += 8 + readU64(B, At) * OverflowEntryBytes + 8; // heap, OverflowSeq
-  if (!Fits(16) || readU64(B, At) != L.Deliveries ||
-      readU64(B, At + 8) != Cycle)
+  if (!Fits(8) || readU64(B, At) != Cycle)
     return false;
-  L.WheelCount = At;
+  L.Cycle = At;
   return true;
 }
 
 /// Finds the one offset of \p M's blob \p B that reads as its wheel
-/// section, then walks the machine fields that follow the WheelCount
+/// section, then walks the machine fields from the Cycle on
 /// (SnapshotAccess::machine in sim/Snapshot.cpp) to the checker's
 /// pending-delivery count. False unless exactly one offset reads as a
 /// wheel section and the walk stays inside the blob.
@@ -1057,16 +1062,16 @@ bool locateWheel(const std::vector<uint8_t> &B, const Machine &M,
     }
   if (Matches != 1)
     return false;
-  size_t At = Found.WheelCount;
+  size_t At = Found.Cycle;
   auto Skip = [&](uint64_t N) {
     At = N <= B.size() - At ? At + N : B.size();
     return At + 8 <= B.size();
   };
-  // WheelCount, Cycle, LastProgress, Status and Halted; FaultMsg;
-  // TotalRetired, JoinEpoch, Hart0InTeam, RemoteAccesses and
-  // LocalAccesses; then the stall tallies, the memory log and the fault
-  // plan cursor, each a u64 count of fixed-size entries.
-  if (!Skip(8 + 8 + 8 + 1 + 1) || !Skip(8 + readU64(B, At)) ||
+  // Cycle, LastProgress, Status and Halted; FaultMsg; TotalRetired,
+  // JoinEpoch, Hart0InTeam, RemoteAccesses and LocalAccesses; then the
+  // stall tallies, the memory log and the fault plan cursor, each a u64
+  // count of fixed-size entries.
+  if (!Skip(8 + 8 + 1 + 1) || !Skip(8 + readU64(B, At)) ||
       !Skip(8 + 8 + 1 + 8 + 8) || !Skip(8 + 8 * readU64(B, At)) ||
       !Skip(8 + 25 * readU64(B, At)) || !Skip(8 + 9 * readU64(B, At)))
     return false;
@@ -1128,22 +1133,6 @@ TEST(Snapshot, RejectsWheelSlotsNotStrictlyAscending) {
   }
 }
 
-TEST(Snapshot, RejectsWheelCountThatDisagreesWithTheSection) {
-  // A wrong count used to restore without complaint: rewritten from 1 to
-  // 0 at cycle 421, the resumed run ended in a livelock a million cycles
-  // later instead of exiting at cycle 3860.
-  WheelLayout L;
-  std::vector<uint8_t> Blob = phasesWheelBlob(421, L);
-  ASSERT_EQ(L.Deliveries, 1u);
-  ASSERT_EQ(readU64(Blob, L.WheelCount), 1u);
-  for (uint64_t Count : {0, 2}) {
-    std::vector<uint8_t> B = Blob;
-    writeU64(B, L.WheelCount, Count);
-    expectWheelRejected(
-        B, "wheel count does not match the deliveries on the wheel");
-  }
-}
-
 /// One hart loads a word, then exits once the load's value is back.
 std::string delayedLoadSrc() {
   return "main:\n  li t1, 0x20000000\n  lw a0, 0(t1)\n  addi a0, a0, 1\n"
@@ -1156,8 +1145,8 @@ TEST(Snapshot, WheelAuditFiresAtTheSameCycleOnBothEngines) {
   // more than its wheel holds must fail that audit, at the same cycle
   // and with the same message on both engines. The load's rb-fill is
   // delayed by 4911 cycles (seed 23), so the machine sits idle across
-  // the audit at cycle 4096: the fast path would skip it unless its
-  // sweep-concern clamp stops the jump there.
+  // the audit at cycle 4096, its one core asleep on the fast path; both
+  // engines must still sweep at every interval boundary to audit there.
   SimConfig Cfg = SimConfig::lbp(1);
   Cfg.Faults.Seed = 23;
   Cfg.Faults.Delays = 1;
