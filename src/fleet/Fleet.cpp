@@ -246,6 +246,11 @@ bool parseResult(const std::vector<uint8_t> &Bytes, RunResult &R) {
   return true;
 }
 
+/// Retry backoff: attempt k (k >= 1) becomes eligible
+/// min(BackoffBaseMs << (k - 1), BackoffCapMs) after the failure.
+constexpr uint64_t BackoffBaseMs = 50;
+constexpr uint64_t BackoffCapMs = 2000;
+
 /// One queued attempt waiting for a worker slot (and its backoff).
 struct PendingAttempt {
   unsigned RunIdx;
@@ -326,8 +331,7 @@ lbp::fleet::runCampaign(const std::vector<assembler::Program> &Images,
     Result.Runs[RunIdx].Attempts.push_back(O);
     if (Attempt + 1 < MaxAttempts) {
       uint64_t Shift = std::min<uint64_t>(Attempt, 62);
-      uint64_t Backoff =
-          std::min(FC.BackoffBaseMs << Shift, FC.BackoffCapMs);
+      uint64_t Backoff = std::min(BackoffBaseMs << Shift, BackoffCapMs);
       Pending.push_back({RunIdx, Attempt + 1,
                          Clock::now() + std::chrono::milliseconds(Backoff)});
     } else {

@@ -111,11 +111,6 @@ struct FleetConfig {
   /// A host backstop only — deterministic timeouts are cycle deadlines.
   uint64_t WallTimeoutMs = 0;
 
-  /// Retry backoff: attempt k (k >= 1) becomes eligible
-  /// min(BackoffBaseMs << (k - 1), BackoffCapMs) after the failure.
-  uint64_t BackoffBaseMs = 50;
-  uint64_t BackoffCapMs = 2000;
-
   /// Checkpoint cadence in simulated cycles (0 disables). Workers write
   /// atomically (tmp + rename) into CheckpointDir; a retry restores the
   /// newest checkpoint and resumes bit-identically.

@@ -101,7 +101,7 @@ public:
   uint64_t FaultsInjected = 0;
   uint64_t MachineChecks = 0;
 
-  // -- High-water marks (per hart; raised via the staged hook path) ----
+  // -- High-water marks (per hart; the Machine raises them directly) --
   std::vector<uint32_t> RobHigh;  ///< Peak ROB occupancy.
   std::vector<uint32_t> SlotHigh; ///< Peak result-slot occupancy
                                   ///< (full slots + backlog).

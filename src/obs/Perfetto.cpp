@@ -11,10 +11,12 @@ using namespace lbp;
 using namespace lbp::obs;
 using sim::EventKind;
 
-PerfettoSink::PerfettoSink(std::ostream &OS, const sim::SimConfig &Cfg,
-                           uint64_t CounterInterval)
-    : OS(OS), NumCores(Cfg.NumCores), Interval(CounterInterval),
-      NextSample(CounterInterval), SpanOpen(Cfg.numHarts(), false),
+/// Cycle stride of the commit counter samples.
+static constexpr uint64_t CounterInterval = 64;
+
+PerfettoSink::PerfettoSink(std::ostream &OS, const sim::SimConfig &Cfg)
+    : OS(OS), NumCores(Cfg.NumCores), NextSample(CounterInterval),
+      SpanOpen(Cfg.numHarts(), false),
       CommitsByCore(Cfg.NumCores, 0) {
   OS << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   // Name the lanes: one "process" per core, one "thread" per hart.
@@ -95,11 +97,11 @@ void PerfettoSink::sampleCounters(uint64_t Cycle) {
 
 void PerfettoSink::onEvent(uint64_t Cycle, EventKind Kind, uint64_t A,
                            uint64_t B) {
-  if (Interval != 0 && Cycle >= NextSample) {
+  if (Cycle >= NextSample) {
     // Stamp the sample at the first event past the boundary; events
     // arrive in canonical order, so this point is deterministic.
     sampleCounters(Cycle);
-    NextSample = (Cycle / Interval + 1) * Interval;
+    NextSample = (Cycle / CounterInterval + 1) * CounterInterval;
   }
   switch (Kind) {
   case EventKind::Commit:
@@ -151,8 +153,7 @@ void PerfettoSink::finish(uint64_t FinalCycle) {
   Finished = true;
   for (unsigned Hart = 0; Hart != SpanOpen.size(); ++Hart)
     endSpan(FinalCycle, Hart);
-  if (Interval != 0)
-    sampleCounters(FinalCycle);
+  sampleCounters(FinalCycle);
   OS << "]}\n";
 }
 

@@ -42,10 +42,7 @@ namespace obs {
 /// load() (the boot HartStart is an event), run, then call finish().
 class PerfettoSink : public sim::TraceSink {
 public:
-  /// \p CounterInterval is the cycle stride of the commit counter
-  /// samples (0 disables the counter tracks).
-  PerfettoSink(std::ostream &OS, const sim::SimConfig &Cfg,
-               uint64_t CounterInterval = 64);
+  PerfettoSink(std::ostream &OS, const sim::SimConfig &Cfg);
 
   void onEvent(uint64_t Cycle, sim::EventKind Kind, uint64_t A,
                uint64_t B) override;
@@ -65,7 +62,6 @@ private:
 
   std::ostream &OS;
   unsigned NumCores;
-  uint64_t Interval;
   uint64_t NextSample;
   bool First = true;
   bool Finished = false;

@@ -130,7 +130,7 @@ static_assert(sizeof(RobSummary) == 24);
 /// One hardware thread, 640 bytes. Cache-line aligned so a hart's hot
 /// fields never straddle a line shared with its neighbour. The first
 /// line holds everything the five stages read to pick a hart (and
-/// coreWakeCycle reads to put a core to sleep), so a stalled core costs
+/// timerPending reads before a core may sleep), so a stalled core costs
 /// one line per hart per stage.
 struct alignas(64) Hart {
   HartState State = HartState::Free;
@@ -253,8 +253,8 @@ static_assert(offsetof(Hart, Sched) + sizeof(RobSummary) <= 64,
 
 /// One core: four harts plus the per-stage round-robin pointers ("each
 /// stage selects one active hart at every cycle", paper Sec. 5.2).
-/// The fast path's per-core sleep cycle lives in Machine::CoreWake, next
-/// to the awake and timer core sets the scheduling loop walks.
+/// Whether the fast path visits a core is one bit of Machine::Awake, the
+/// core set its scheduling loop walks.
 struct alignas(64) Core {
   Hart Harts[HartsPerCore];
   uint8_t FetchRR = 0;

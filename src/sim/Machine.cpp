@@ -32,8 +32,9 @@ Machine::Machine(const SimConfig &Config)
   assert(Config.NumCores != 0 && "a machine has at least one core");
   StallByCore.assign(Cfg.NumCores * NumStallSlots, 0);
   LastTally.assign(Cfg.NumCores, {});
-  CoreWake.assign(Cfg.NumCores, 0);
-  rebuildAwakeSet();
+  Awake.assign((Cfg.NumCores + 63) / 64, 0);
+  for (unsigned CoreId = 0; CoreId != Cfg.NumCores; ++CoreId)
+    wakeCore(CoreId);
   if (Cfg.CollectCounters) {
     Obs = std::make_unique<obs::PerfCounters>();
     Obs->init(Cfg);
@@ -301,7 +302,7 @@ void Machine::finishRb(Hart &H, uint32_t Value, uint64_t ReadyCycle) {
 void Machine::deliver(const Delivery &D) {
   // Whatever this delivery enables, the target core can act on it this
   // very cycle (deliveries precede the stages), so wake it now.
-  wakeCore(D.HartId / HartsPerCore, Cycle);
+  wakeCore(D.HartId / HartsPerCore);
   if (Cfg.EnableCheckers) {
     Ck.onDelivered(*this, D);
     if (Halted)
@@ -488,14 +489,13 @@ void Machine::freeHart(unsigned HartId) {
   Tr.event(Cycle, EventKind::HartEnd, HartId);
   H.clearForFree();
   // A freed hart un-blocks p_fc retries on this core and p_fn retries
-  // on the previous one. This core's own issue stage runs later this
-  // same cycle (commit precedes issue), but the previous core's issue
-  // already ran, so its retry lands next cycle — exactly when the
-  // reference path would succeed.
+  // on the previous one. This core's commit stage is the one running,
+  // so it acted and stays awake, and its issue stage runs later this
+  // same cycle. The previous core's issue already ran, so its retry
+  // lands next cycle — exactly when the reference path would succeed.
   unsigned CoreId = HartId / HartsPerCore;
-  wakeCore(CoreId, Cycle + 1);
   if (CoreId != 0)
-    wakeCore(CoreId - 1, Cycle + 1);
+    wakeCore(CoreId - 1);
 }
 
 void Machine::sendToken(unsigned FromHart, unsigned ToHart) {
@@ -1446,29 +1446,24 @@ bool Machine::stageFetch(unsigned CoreId) {
 // Cycle loop
 //===----------------------------------------------------------------------===//
 
-uint64_t Machine::coreWakeCycle(const Core &C, uint64_t Now) const {
+bool Machine::timerPending(const Core &C, uint64_t Now) const {
   // The only stage conditions that depend on the cycle number are the
   // three timers below; everything else a stage tests is machine state
-  // that can only change through a stage action or a delivery. So with
-  // no action this cycle, the earliest of these timers is the earliest
-  // cycle at which the core could possibly act again on its own. Only
-  // the head's done cycle counts among the ROB's: commit is in order,
-  // so a younger entry finishing cannot let the core act before the
-  // head has committed, which is itself an action.
-  uint64_t Wake = UINT64_MAX;
+  // that can only change through a stage action or a delivery. So a
+  // core that did not act this cycle and has none of them pending
+  // cannot act again on its own. Only the head's done cycle counts among
+  // the ROB's (UINT64_MAX while the head is not done): commit is in
+  // order, so a younger entry finishing cannot let the core act before
+  // the head has committed, which is itself an action.
   for (const Hart &H : C.Harts) {
     if (H.State == HartState::Free)
       continue;
-    if (H.State == HartState::Running && H.NoFetchUntil > Now &&
-        H.NoFetchUntil < Wake)
-      Wake = H.NoFetchUntil; // fetch unblocks
-    if (H.RbBusy && H.RbReady && H.RbReadyCycle > Now &&
-        H.RbReadyCycle < Wake)
-      Wake = H.RbReadyCycle; // writeback becomes possible
-    if (H.Sched.HeadDoneAt > Now && H.Sched.HeadDoneAt < Wake)
-      Wake = H.Sched.HeadDoneAt; // commit becomes possible
+    if ((H.State == HartState::Running && H.NoFetchUntil > Now) ||
+        (H.RbBusy && H.RbReady && H.RbReadyCycle > Now) ||
+        (H.Sched.HeadDoneAt > Now && H.Sched.HeadDoneAt != UINT64_MAX))
+      return true;
   }
-  return Wake;
+  return false;
 }
 
 bool Machine::coreStages(unsigned CoreId) {
@@ -1496,22 +1491,12 @@ void Machine::cycleStages() {
 }
 
 void Machine::cycleAwakeStages() {
-  // Sleepers whose timer expires this cycle rejoin the awake set.
-  for (size_t W = 0; W != Timed.size(); ++W)
-    for (uint64_t Bits = Timed[W]; Bits != 0; Bits &= Bits - 1) {
-      unsigned CoreId = static_cast<unsigned>(W * 64) + __builtin_ctzll(Bits);
-      if (CoreWake[CoreId] <= Cycle) {
-        uint64_t Bit = uint64_t(1) << (CoreId % 64);
-        Timed[W] &= ~Bit;
-        Awake[W] |= Bit;
-      }
-    }
-
-  // Active-set scheduling: a sleeping core provably cannot act before
-  // its CoreWake cycle, and the round-robin pointers only advance on
-  // actions, so visiting only the awake cores, in ascending order, is
-  // invisible to the event stream. The bits of each word are read once:
-  // the stages only wake the core being walked or the one before it.
+  // Active-set scheduling: a sleeping core did not act at its last visit
+  // and had no timer pending, so it is frozen until a delivery or a hart
+  // free wakes it, and the round-robin pointers only advance on actions;
+  // visiting only the awake cores, in ascending order, is invisible to
+  // the event stream. The bits of each word are read once: the stages
+  // only wake the core before the one being walked.
   for (size_t W = 0; W != Awake.size(); ++W)
     for (uint64_t Bits = Awake[W]; Bits != 0; Bits &= Bits - 1) {
       unsigned CoreId = static_cast<unsigned>(W * 64) + __builtin_ctzll(Bits);
@@ -1520,29 +1505,9 @@ void Machine::cycleAwakeStages() {
         HaltCore = CoreId;
         return;
       }
-      if (CoreActed) {
-        CoreWake[CoreId] = Cycle; // stay awake: more work next cycle
-        continue;
-      }
-      uint64_t Wake = coreWakeCycle(Cores[CoreId], Cycle);
-      uint64_t Bit = uint64_t(1) << (CoreId % 64);
-      CoreWake[CoreId] = Wake;
-      Awake[W] &= ~Bit;
-      if (Wake != UINT64_MAX)
-        Timed[W] |= Bit;
+      if (!CoreActed && !timerPending(Cores[CoreId], Cycle))
+        Awake[W] &= ~(uint64_t(1) << (CoreId % 64));
     }
-}
-
-void Machine::rebuildAwakeSet() {
-  Awake.assign((Cfg.NumCores + 63) / 64, 0);
-  Timed.assign(Awake.size(), 0);
-  for (unsigned CoreId = 0; CoreId != Cfg.NumCores; ++CoreId) {
-    uint64_t Bit = uint64_t(1) << (CoreId % 64);
-    if (CoreWake[CoreId] <= Cycle)
-      Awake[CoreId / 64] |= Bit;
-    else if (CoreWake[CoreId] != UINT64_MAX)
-      Timed[CoreId / 64] |= Bit;
-  }
 }
 
 RunStatus Machine::run(uint64_t MaxCycles) {

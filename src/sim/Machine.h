@@ -296,37 +296,26 @@ private:
   void cycleStages();
 
   // -- Fast path (SimConfig::FastPath; docs/PERFORMANCE.md) -------------
-  /// Earliest cycle strictly comparable to \p Now at which any stage of
-  /// \p C could act again, assuming no further deliveries: the minimum
-  /// over the core's non-free harts of their pending timer expiries
-  /// (NoFetchUntil, result-buffer ready, ROB head done). UINT64_MAX
-  /// when the core is fully event-driven (only a delivery can make it
-  /// act).
-  uint64_t coreWakeCycle(const Core &C, uint64_t Now) const;
-  /// Pulls \p CoreId's wake cycle forward to \p At (never pushes it
-  /// back) and puts the core in the awake set. \p At is this cycle (a
-  /// delivery, before the stages run) or the next one (a hart free, on
-  /// this core or the one before it, both already walked this cycle), so
-  /// the core's next visit is at \p At either way.
-  void wakeCore(unsigned CoreId, uint64_t At) {
-    if (At < CoreWake[CoreId]) {
-      CoreWake[CoreId] = At;
-      uint64_t Bit = uint64_t(1) << (CoreId % 64);
-      Awake[CoreId / 64] |= Bit;
-      Timed[CoreId / 64] &= ~Bit;
-    }
+  /// True when a non-free hart of \p C has a timer that expires after
+  /// \p Now (NoFetchUntil, result-buffer ready, ROB head done): a core
+  /// whose stages did not act may still act again on its own, so it
+  /// stays awake.
+  bool timerPending(const Core &C, uint64_t Now) const;
+  /// Puts \p CoreId in the awake set. A delivery wakes its core before
+  /// the stages run, so the core is visited this cycle; a hart free wakes
+  /// the core before its own, already walked this cycle, so that one is
+  /// visited next cycle.
+  void wakeCore(unsigned CoreId) {
+    Awake[CoreId / 64] |= uint64_t(1) << (CoreId % 64);
   }
   /// Fast path: one pass over the awake cores' stages, ascending. A
-  /// core whose stages did not act leaves the awake set until its timer
-  /// or a wake.
+  /// core whose stages did not act and that has no timer pending leaves
+  /// the awake set until a wake.
   void cycleAwakeStages();
   /// Runs \p CoreId's five stages for this cycle; true when any acted.
   /// Leaves \p Halted set when a stage halted the machine; the caller
   /// then records the core in HaltCore.
   bool coreStages(unsigned CoreId);
-  /// Rebuilds the awake and timer sets from CoreWake (construction and
-  /// snapshot restore, which both mark every core awake).
-  void rebuildAwakeSet();
   /// Deliveries on the wheel/overflow map targeting \p HartId.
   unsigned pendingDeliveriesFor(unsigned HartId) const;
   void startHart(unsigned HartId, uint32_t StartPc);
@@ -345,20 +334,15 @@ private:
   FaultPlan FPlan;
   Checker Ck;
   std::vector<Core> Cores;
-  /// Fast-path sleep state, one entry per core (see wakeCore): the
-  /// earliest cycle at which a stage on core i could act again. The fast
-  /// path runs a core's stages only from that cycle on; deliveries and
-  /// hart frees pull it forward. Spurious wakes are harmless (the stages
-  /// no-op and the core re-sleeps); the reference path ignores it, and
-  /// the checkpoint does not store it.
-  std::vector<uint64_t> CoreWake;
-  /// The fast path's core sets, one bit per core in ceil(NumCores / 64)
-  /// words. Awake: the cores whose stages run this cycle, exactly those
-  /// with CoreWake at or before it. Timed: the sleepers with a finite
-  /// CoreWake, which rejoin Awake at that cycle. A core in neither
-  /// sleeps until a delivery or a hart free wakes it.
+  /// The fast path's scheduling state: one bit per core in
+  /// ceil(NumCores / 64) words, set for the cores whose stages run this
+  /// cycle. A core leaves it after a visit in which no stage acted and
+  /// no timer of it was pending, and sleeps until a delivery or a hart
+  /// free wakes it (see wakeCore). Spurious wakes are harmless (the
+  /// stages no-op and the core sleeps again). The reference path ignores
+  /// the set and the checkpoint does not store it: construction and
+  /// restore mark every core awake.
   std::vector<uint64_t> Awake;
-  std::vector<uint64_t> Timed;
 
   uint64_t Cycle = 0;
   uint64_t LastProgress = 0;

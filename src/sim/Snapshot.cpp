@@ -455,11 +455,10 @@ struct SnapshotAccess {
   /// follow from its instruction and each hart's scheduling summary
   /// from its ROB. Every core is marked awake, as at construction: a
   /// core that cannot act does nothing at its first visit, then sleeps
-  /// until the wake cycle its state gives. Each core's stall tallies
-  /// reach the snapshot cycle, and that first visit counts the stall
-  /// slot its restored state shows. The pre-decoded text mirrors the
-  /// code image; the reference engine never reads it, so it is cleared
-  /// there.
+  /// unless a timer of it is pending. Each core's stall tallies reach
+  /// the snapshot cycle, and that first visit counts the stall slot its
+  /// restored state shows. The pre-decoded text mirrors the code image;
+  /// the reference engine never reads it, so it is cleared there.
   static void rebuildDerived(Machine &M) {
     for (size_t CoreId = 0; CoreId != M.Cores.size(); ++CoreId) {
       Core &C = M.Cores[CoreId];
@@ -469,10 +468,9 @@ struct SnapshotAccess {
         H.Sched = H.summarizeRob();
       }
       M.LastTally[CoreId] = {M.Cycle, M.stallSlot(C)};
+      M.wakeCore(static_cast<unsigned>(CoreId));
     }
     M.DueBuf.clear(); // per-cycle scratch, empty between cycles
-    std::fill(M.CoreWake.begin(), M.CoreWake.end(), 0);
-    M.rebuildAwakeSet();
     if (M.Cfg.FastPath)
       M.predecodeText();
     else

@@ -72,7 +72,7 @@ constexpr uint32_t SnapshotMagic = 0x5350424Cu;
 
 /// Bumped on any change to the blob layout.
 /// v2: per-hart PendingSendOps, machine SendCount, per-core sleep cycle
-/// now sourced from Machine::CoreWake (SoA layout).
+/// now sourced from a per-core array of the machine (SoA layout).
 /// v3: interval-digest ring + PerturbForTest fired-flag section after
 /// the trace hash (docs/OBSERVABILITY.md "Divergence triage").
 /// v4: the sharded engine's bookkeeping is gone — no per-hart
@@ -85,7 +85,7 @@ constexpr uint32_t SnapshotMagic = 0x5350424Cu;
 /// instead of every bank in full.
 /// v7: the trace section is the hash and the perturb fired-flag (the
 /// interval-digest ring, its cursor and its total are gone), and the
-/// cores no longer carry the fast path's sleep cycle (CoreWake).
+/// cores no longer carry the fast path's per-core sleep cycle.
 /// v8: no machine WheelCount after the overflow heap's sequence counter;
 /// the wheel section's slots are the only record of what is on the
 /// wheel.

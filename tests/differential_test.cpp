@@ -322,8 +322,9 @@ worker:
 }
 
 /// Long quiescent stretches: each hart spins in a private ALU loop with
-/// no memory traffic between the fork and the join, so cores sleep on
-/// their own timers and the fast path skips them for most cycles.
+/// no memory traffic between the fork and the join. A spinning core
+/// waits only on its own timers, so it stays awake; the fast path skips
+/// a core only once its harts have ended or wait on a delivery.
 std::string quiescentProgram(unsigned NumHarts, unsigned Rounds,
                              unsigned SpinIters) {
   return forkJoinProgram(NumHarts, Rounds, formatString(R"(
@@ -567,9 +568,9 @@ TEST(FastPathDifferential, MaxCyclesTruncation) {
 }
 
 TEST(FastPathDifferential, TruncationMidQuiescentSkip) {
-  // Budgets spread over a run whose spin stretches the fast path sleeps
-  // through: wherever the budget runs out, both engines must stop on the
-  // same cycle.
+  // Budgets spread over a run whose spin stretches leave the cores that
+  // wait on a delivery asleep: wherever the budget runs out, both engines
+  // must stop on the same cycle.
   std::string Src = quiescentProgram(/*NumHarts=*/16, /*Rounds=*/3,
                                      /*SpinIters=*/300);
   assembler::AsmResult R = assembler::assemble(Src);
@@ -586,6 +587,29 @@ TEST(FastPathDifferential, TruncationMidQuiescentSkip) {
                      static_cast<unsigned long long>(MaxCycles)),
         MaxCycles);
   }
+}
+
+TEST(FastPathDifferential, HartFreeWakesThePreviousCore) {
+  // tests/data/pfn_wait.s: a p_fn on core 0 retries for a hart on the
+  // full core 1 while nothing else on core 0 can act, so core 0 sleeps.
+  // The first hart freed on core 1 wakes it, and the retry succeeds on
+  // the next cycle, as on the reference loop.
+  std::ifstream In(LBP_SOURCE_DIR "/tests/data/pfn_wait.s");
+  ASSERT_TRUE(In.good()) << "cannot open tests/data/pfn_wait.s";
+  std::ostringstream Src;
+  Src << In.rdbuf();
+  assembler::AsmResult R = assembler::assemble(Src.str());
+  ASSERT_TRUE(R.succeeded()) << R.errorText();
+  for (bool FastPath : {false, true}) {
+    RunFingerprint F =
+        runWith(R.Prog, SimConfig::lbp(2), FastPath, /*MaxCycles=*/100000);
+    EXPECT_EQ(static_cast<int>(F.Status), static_cast<int>(RunStatus::Exited))
+        << "FastPath=" << FastPath << ": " << F.Message;
+    EXPECT_EQ(F.Cycles, 6179u) << "FastPath=" << FastPath;
+    EXPECT_EQ(F.Retired, 8327u) << "FastPath=" << FastPath;
+    EXPECT_EQ(F.Hash, 0xbec0704cf0b946ebull) << "FastPath=" << FastPath;
+  }
+  expectFastPathIdentical(Src.str(), SimConfig::lbp(2), "pfn-wait");
 }
 
 //===----------------------------------------------------------------------===//

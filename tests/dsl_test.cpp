@@ -196,7 +196,7 @@ TEST(Dsl, MainLocalsSurviveParallelRegions) {
   // Force many locals so the thread spills into s-registers.
   const Local *L[10];
   for (unsigned K = 0; K != 10; ++K)
-    L[K] = Thread->local("l" + std::to_string(K));
+    L[K] = Thread->local(std::string("l") + std::to_string(K));
   std::vector<const Stmt *> Body;
   for (unsigned K = 0; K != 10; ++K)
     Body.push_back(M.assign(L[K], M.add(M.v(T), M.c(K))));

@@ -167,7 +167,6 @@ TEST(Fleet, HungWorkerIsKilledAndRetried) {
   FC.Workers = 2;
   FC.MaxAttempts = 2;
   FC.WallTimeoutMs = 300; // host backstop; the retry is uninjected
-  FC.BackoffBaseMs = 1;
   FC.InjectHangRun = 0;
   CampaignResult R = runCampaign(Images, Specs, FC);
 
@@ -264,7 +263,6 @@ TEST(Fleet, RepeatCampaignsEmitByteIdenticalReports) {
   FC.MaxAttempts = 2;
   FC.CheckpointInterval = 700;
   FC.CheckpointDir = makeCheckpointDir();
-  FC.BackoffBaseMs = 1;
   FC.InjectCrashRun = 2;
 
   std::string First = campaignToJson(runCampaign(Images, Specs, FC));

@@ -260,10 +260,9 @@ TEST(Snapshot, BlobIsPortableAcrossEngines) {
 // Mid quiescent spin
 //===----------------------------------------------------------------------===//
 
-/// Harts spinning in private ALU loops: cores sleep on their own timers
-/// most of the time, so the fast path's per-core wake cycles and its
-/// awake and timer core sets are live state at almost every snapshot
-/// point.
+/// Harts spinning in private ALU loops while the cores left without a
+/// hart sleep: the fast path's awake-core set is live state at almost
+/// every snapshot point, and a spinning core waits on its own timers.
 std::string spinSrc() {
   romp::AsmText Head;
   romp::emitMainPrologue(Head);
@@ -292,11 +291,13 @@ spin:
 }
 
 TEST(Snapshot, ResumeMidQuiescentSpin) {
-  // Snapshot budgets landing inside the long spin stretches, while most
-  // cores sleep. run(N) stops between cycles, so the blob is an ordinary
-  // state — portable to either engine, including back to a fast-path
-  // run that restarts with every core awake and puts the idle ones back
-  // to sleep on their first visit.
+  // Snapshot budgets landing inside the long spin stretches. run(N)
+  // stops between cycles, so the blob is an ordinary state — portable
+  // to either engine, including back to a fast-path run that restarts
+  // with every core awake and puts the idle ones back to sleep on their
+  // first visit. The blob holds no awake set: restored into a machine
+  // that already ran the program, whose cores 1 to 3 sleep at its exit,
+  // the restore must wake them, or they sleep through their spins.
   assembler::Program Prog = assembleOrDie(spinSrc());
   for (const EngineCell &From : Cells) {
     if (!From.FastPath)
@@ -307,22 +308,27 @@ TEST(Snapshot, ResumeMidQuiescentSpin) {
         continue;
       SimConfig ToCfg = cellConfig(SimConfig::lbp(4), To);
       for (uint64_t SnapAt : {150ull, 731ull, 1500ull})
-        expectResumeIdentical(Prog, Fast, ToCfg, SnapAt,
-                              std::string("midspin/") + From.Name + "->" +
-                                  To.Name);
+        for (bool Used : {false, true})
+          expectResumeIdentical(Prog, Fast, ToCfg, SnapAt,
+                                std::string("midspin/") + From.Name +
+                                    "->" + To.Name,
+                                Used);
     }
   }
 }
 
 TEST(Snapshot, StallTalliesResumeAtEveryCycle) {
-  // Dependent divisions: the core sleeps through each 16-cycle divide,
-  // its ready work blocked behind the one result buffer. A snapshot at
+  // Dependent divisions: the core stays awake through each 16-cycle
+  // divide (the head's done cycle is a pending timer), its ready work
+  // blocked behind the one result buffer. Dependent global loads: the
+  // core sleeps while each load waits for its response. A snapshot at
   // any cycle must leave the restored machine crediting the cycles the
   // core still sleeps through to the cause the uninterrupted run gives
-  // them, so restore re-derives that cause from the saved state. The
-  // blob holds no sleep cycle, so a machine that already ran the
-  // program must wake at restore too, or it sleeps past the divides.
-  assembler::Program Prog = assembleOrDie(R"(
+  // them, so restore re-derives that cause from the saved state.
+  const struct {
+    const char *Name;
+    const char *Src;
+  } Programs[] = {{"divisions", R"(
 main:
     li a0, 1000000000
     li a1, 3
@@ -332,18 +338,33 @@ main:
     li ra, 0
     li t0, -1
     p_ret
-)");
-  for (const EngineCell &C : Cells) {
-    if (!C.Stalls)
-      continue;
-    SimConfig Cfg = cellConfig(SimConfig::lbp(1), C);
-    Machine Full(Cfg);
-    Full.load(Prog);
-    ASSERT_EQ(Full.run(), RunStatus::Exited) << C.Name;
-    for (uint64_t SnapAt = 1; SnapAt < Full.cycles(); ++SnapAt)
-      for (bool Used : {false, true})
-        expectResumeIdentical(Prog, Cfg, Cfg, SnapAt,
-                              std::string("divisions/") + C.Name, Used);
+)"},
+                  {"loads", R"(
+main:
+    li a0, 0x20000000
+    lw a1, 0(a0)
+    add a1, a1, a0
+    lw a2, 4(a1)
+    add a2, a2, a0
+    lw a3, 8(a2)
+    li ra, 0
+    li t0, -1
+    p_ret
+)"}};
+  for (const auto &P : Programs) {
+    assembler::Program Prog = assembleOrDie(P.Src);
+    for (const EngineCell &C : Cells) {
+      if (!C.Stalls)
+        continue;
+      SimConfig Cfg = cellConfig(SimConfig::lbp(1), C);
+      Machine Full(Cfg);
+      Full.load(Prog);
+      ASSERT_EQ(Full.run(), RunStatus::Exited) << P.Name << "/" << C.Name;
+      for (uint64_t SnapAt = 1; SnapAt < Full.cycles(); ++SnapAt)
+        for (bool Used : {false, true})
+          expectResumeIdentical(Prog, Cfg, Cfg, SnapAt,
+                                std::string(P.Name) + "/" + C.Name, Used);
+    }
   }
 }
 
@@ -353,7 +374,7 @@ main:
 
 TEST(Snapshot, WideForkJoinSaveRestoreSaveIsByteIdentical) {
   // A 64-core fork/join machine mid-run: teams half built, most cores
-  // asleep, the awake-core set rebuilt from the restored wake cycles.
+  // asleep, every core marked awake again by the restore.
   // The blob holds only the nonzero blocks of the 8 MiB bank store.
   assembler::Program Prog = assembleOrDie(test::wideForkJoinProgram());
   for (const EngineCell &C : Cells) {
