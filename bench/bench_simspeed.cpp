@@ -30,10 +30,11 @@
 // failing gate, and the exit status is 0 exactly when it says "ok".
 //
 // A cell whose first run takes under ShortCellSeconds is repeated
-// ShortCellReps times in all; each cell records its repetition count,
-// the minimum and the median (the reported time) and the spread. The
-// JSON's "host" block names the cpus, compiler, build type, LTO and
-// commit the numbers came from.
+// ShortCellReps times in all, and a longer one LongCellReps times
+// (--quick leaves longer cells at one run); each cell records its
+// repetition count, the minimum and the median (the reported time) and
+// the spread. The JSON's "host" block names the cpus, compiler, build
+// type, LTO and commit the numbers came from.
 //
 // Usage: bench_simspeed [--quick] [--out FILE] [--engines LIST]
 //                       [--counters] [--perturb N]
@@ -212,17 +213,20 @@ long peakRssKb() {
   return Ru.ru_maxrss; // KiB on Linux
 }
 
-/// Cells shorter than this are repeated: one host hiccup is a large
-/// share of a few milliseconds.
+/// Cells shorter than this run ShortCellReps times: one host hiccup is a
+/// large share of a few milliseconds. Longer cells run LongCellReps
+/// times, so their median is not one draw of the host's noise either.
 constexpr double ShortCellSeconds = 0.05;
 constexpr unsigned ShortCellReps = 11;
+constexpr unsigned LongCellReps = 3;
 
-/// One timed cell: a run, repeated when it is short. Only Machine::run
-/// is on the clock; assembly and image load are setup. Every run must
-/// exit cleanly, pass \p Verify and reproduce the first run's
-/// fingerprint — a bench must never report numbers from a broken run.
+/// One timed cell: at least \p MinReps runs, ShortCellReps when the first
+/// is short. Only Machine::run is on the clock; assembly and image load
+/// are setup. Every run must exit cleanly, pass \p Verify and reproduce
+/// the first run's fingerprint — a bench must never report numbers from
+/// a broken run.
 EngineResult timedRun(const assembler::Program &Prog, sim::SimConfig Cfg,
-                      const std::string &Engine,
+                      const std::string &Engine, unsigned MinReps,
                       const std::function<void(sim::Machine &)> &Verify) {
   Cfg.FastPath = Engine == "fastpath";
   EngineResult R;
@@ -246,7 +250,8 @@ EngineResult timedRun(const assembler::Program &Prog, sim::SimConfig Cfg,
     else if (!(Fp == R.Fp))
       die("a repeated bench run changed its fingerprint");
     Times.push_back(std::chrono::duration<double>(T1 - T0).count());
-  } while (Times.front() < ShortCellSeconds && Times.size() < ShortCellReps);
+  } while (Times.size() < MinReps || (Times.front() < ShortCellSeconds &&
+                                       Times.size() < ShortCellReps));
 
   std::sort(Times.begin(), Times.end());
   R.Reps = static_cast<unsigned>(Times.size());
@@ -282,10 +287,11 @@ runWorkload(const Options &Opt, const std::string &Name,
   W.Cores = Cfg.NumCores;
   Cfg.PerturbForTest = Opt.Perturb;
 
+  unsigned MinReps = Opt.Quick ? 1 : LongCellReps;
   if (Opt.RunReference)
-    W.Engines.push_back(timedRun(Prog, Cfg, "reference", Verify));
+    W.Engines.push_back(timedRun(Prog, Cfg, "reference", MinReps, Verify));
   if (Opt.RunFastPath)
-    W.Engines.push_back(timedRun(Prog, Cfg, "fastpath", Verify));
+    W.Engines.push_back(timedRun(Prog, Cfg, "fastpath", MinReps, Verify));
   if (W.Engines.empty())
     return W;
 

@@ -47,6 +47,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -99,13 +100,31 @@ std::string checkpointPath(const FleetConfig &FC, pid_t CampaignPid,
          "-run" + std::to_string(RunIdx) + ".ckpt";
 }
 
+/// Reads the regular file at \p Path into \p Out, sized from fstat and
+/// read in one call (more only if a read is cut short). False when the
+/// file is missing, not a regular file, unreadable, or shorter than its
+/// size said.
 bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  int Fd = open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return false;
-  Out.assign(std::istreambuf_iterator<char>(In),
-             std::istreambuf_iterator<char>());
-  return In.good() || In.eof();
+  struct stat St;
+  bool Ok = fstat(Fd, &St) == 0 && S_ISREG(St.st_mode);
+  if (Ok) {
+    Out.resize(static_cast<size_t>(St.st_size));
+    size_t Off = 0;
+    while (Off < Out.size()) {
+      ssize_t N = read(Fd, Out.data() + Off, Out.size() - Off);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0)
+        break;
+      Off += static_cast<size_t>(N);
+    }
+    Ok = Off == Out.size();
+  }
+  close(Fd);
+  return Ok;
 }
 
 /// The worker's verdict record on the pipe, written by childAttempt and

@@ -22,19 +22,21 @@
 namespace lbp {
 namespace sim {
 
-/// Computes the register result of an ALU / mul / div / upper-immediate /
-/// link-producing instruction. \p A and \p B are the rs1/rs2 source
-/// values, \p Pc the instruction's own address. Inline: the issue
-/// stage calls it once per ALU instruction.
-inline uint32_t evalOp(const isa::Instr &I, uint32_t A, uint32_t B,
-                       uint32_t Pc) {
+/// Computes the register result of the ALU / mul / div / upper-immediate /
+/// link-producing opcode \p Op. \p A and \p B are the rs1/rs2 source
+/// values, \p SImm the immediate and \p Pc the instruction's own
+/// address. Always inlined: the issue stage calls it from one case per
+/// opcode with \p Op a constant, which folds the switch below to that
+/// opcode's operation.
+[[gnu::always_inline]] inline uint32_t evalOp(isa::Opcode Op, uint32_t A,
+                                              uint32_t B, int32_t SImm,
+                                              uint32_t Pc) {
   using isa::Opcode;
   int32_t SA = static_cast<int32_t>(A);
   int32_t SB = static_cast<int32_t>(B);
-  uint32_t Imm = static_cast<uint32_t>(I.Imm);
-  int32_t SImm = I.Imm;
+  uint32_t Imm = static_cast<uint32_t>(SImm);
 
-  switch (I.Op) {
+  switch (Op) {
   case Opcode::LUI:
     return Imm << 12;
   case Opcode::AUIPC:
@@ -123,8 +125,9 @@ inline uint32_t evalOp(const isa::Instr &I, uint32_t A, uint32_t B,
 }
 
 /// Returns true when the conditional branch \p Op is taken given sources
-/// \p A and \p B.
-inline bool evalBranch(isa::Opcode Op, uint32_t A, uint32_t B) {
+/// \p A and \p B. Always inlined, like evalOp.
+[[gnu::always_inline]] inline bool evalBranch(isa::Opcode Op, uint32_t A,
+                                              uint32_t B) {
   using isa::Opcode;
   int32_t SA = static_cast<int32_t>(A);
   int32_t SB = static_cast<int32_t>(B);

@@ -130,8 +130,8 @@ static_assert(sizeof(RobSummary) == 24);
 /// One hardware thread, 640 bytes. Cache-line aligned so a hart's hot
 /// fields never straddle a line shared with its neighbour. The first
 /// line holds everything the five stages read to pick a hart (and
-/// timerPending reads before a core may sleep), so a stalled core costs
-/// one line per hart per stage.
+/// timerPending reads before a core may sleep), so building a core's
+/// stage masks reads one line per hart.
 struct alignas(64) Hart {
   HartState State = HartState::Free;
   // Fetch and the instruction buffer between fetch and decode/rename.

@@ -73,7 +73,7 @@ InterpStatus Interp::run(uint64_t MaxSteps) {
       if (I.Op == Opcode::RDCYCLE || I.Op == Opcode::RDINSTRET)
         setReg(I.Rd, static_cast<uint32_t>(Steps)); // 1 "cycle"/step
       else
-        setReg(I.Rd, evalOp(I, A, B, Pc));
+        setReg(I.Rd, evalOp(I.Op, A, B, I.Imm, Pc));
       break;
 
     case ExecClass::Branch:

@@ -15,7 +15,6 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <array>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -535,6 +534,58 @@ static unsigned firstHart(unsigned Cand, unsigned RR) {
 }
 
 //===----------------------------------------------------------------------===//
+// Stage eligibility
+//===----------------------------------------------------------------------===//
+//
+// One test per stage: whether hart H is that stage's candidate at cycle
+// Now, 0 or 1. coreStages builds all five masks from these in one loop
+// and, after a stage acts, re-tests with the same functions the acting
+// hart's bits that the action can flip.
+
+static unsigned commitEligible(const Hart &H, uint64_t Now) {
+  return H.Sched.HeadDoneAt <= Now;
+}
+
+static unsigned writebackEligible(const Hart &H, uint64_t Now) {
+  return H.RbBusy & H.RbReady & (H.RbReadyCycle <= Now);
+}
+
+/// ROB entries of \p H that may issue as far as the summary can tell:
+/// sources ready, and the result buffer free if they need it. Branch
+/// free (a busy buffer selects RbWaiters through an all-ones mask):
+/// RbBusy flips too often to predict.
+static unsigned issueCandidates(const Hart &H) {
+  unsigned Blocked = H.Sched.RbWaiters & (0u - H.RbBusy);
+  return H.Sched.ReadyMask & ~Blocked;
+}
+
+static unsigned issueEligible(const Hart &H) {
+  return issueCandidates(H) != 0;
+}
+
+static unsigned decodeEligible(const Hart &H) {
+  return H.IbFull & (H.RobCount != RobEntries);
+}
+
+/// A p_syncm block whose issued accesses have all drained does not stop
+/// fetch: the fetch stage clears it (syncmSatisfied) before it picks.
+static unsigned fetchEligible(const Hart &H, uint64_t Now) {
+  return (H.State == HartState::Running) & H.PcValid & !H.IbFull &
+         !(H.SyncmWait & (H.OutstandingMem != 0)) & (H.NoFetchUntil <= Now);
+}
+
+/// The p_syncm block the fetch stage clears: raised, and nothing the hart
+/// issued is still in flight.
+static unsigned syncmSatisfied(const Hart &H) {
+  return H.SyncmWait & (H.OutstandingMem == 0);
+}
+
+/// Sets bit \p K of \p Mask to \p Bit (0 or 1).
+static void setHartBit(unsigned &Mask, unsigned K, unsigned Bit) {
+  Mask = (Mask & ~(1u << K)) | Bit << K;
+}
+
+//===----------------------------------------------------------------------===//
 // Commit stage
 //===----------------------------------------------------------------------===//
 
@@ -613,12 +664,8 @@ void Machine::commitRet(unsigned CoreId, unsigned HartInCore, Hart &H,
   freeHart(SelfId);
 }
 
-bool Machine::stageCommit(unsigned CoreId) {
-  Core &C = Cores[CoreId];
-  unsigned Cand = 0;
-  for (unsigned K = 0; K != HartsPerCore; ++K)
-    Cand |= static_cast<unsigned>(C.Harts[K].Sched.HeadDoneAt <= Cycle)
-            << K;
+[[gnu::always_inline]] inline unsigned
+Machine::stageCommit(Core &C, unsigned CoreId, unsigned Cand) {
   const unsigned RR = C.CommitRR;
   for (unsigned R = rotateRight(Cand, RR, HartsPerCore); R != 0; R &= R - 1) {
     unsigned HIdx = (RR + __builtin_ctz(R)) % HartsPerCore;
@@ -647,27 +694,17 @@ bool Machine::stageCommit(unsigned CoreId) {
 
     if (IsRet)
       commitRet(CoreId, HIdx, H, Ra, T0);
-    return true;
+    return HIdx;
   }
-  return false;
+  return NoHart;
 }
 
 //===----------------------------------------------------------------------===//
 // Writeback stage
 //===----------------------------------------------------------------------===//
 
-bool Machine::stageWriteback(unsigned CoreId) {
-  Core &C = Cores[CoreId];
-  unsigned Cand = 0;
-  for (unsigned K = 0; K != HartsPerCore; ++K) {
-    const Hart &H = C.Harts[K];
-    Cand |= static_cast<unsigned>(H.RbBusy & H.RbReady &
-                                  (H.RbReadyCycle <= Cycle))
-            << K;
-  }
-  if (Cand == 0)
-    return false;
-
+[[gnu::always_inline]] inline unsigned
+Machine::stageWriteback(Core &C, unsigned Cand) {
   unsigned HIdx = firstHart(Cand, C.WbRR);
   C.WbRR = (HIdx + 1) % HartsPerCore;
   Hart &H = C.Harts[HIdx];
@@ -705,7 +742,7 @@ bool Machine::stageWriteback(unsigned CoreId) {
   H.RbBusy = false;
   H.RbReady = false;
   H.RbEntry = -1;
-  return true;
+  return HIdx;
 }
 
 //===----------------------------------------------------------------------===//
@@ -718,20 +755,8 @@ bool Machine::loadBlockedByStore(const Hart &H, uint32_t Addr) const {
                    Word) != H.PendingStoreWords.end();
 }
 
-/// ROB entries of \p H that may issue as far as the summary can tell:
-/// sources ready, and the result buffer free if they need it. Branch
-/// free (a busy buffer selects RbWaiters through an all-ones mask):
-/// RbBusy flips too often to predict.
-static unsigned issueCandidates(const Hart &H) {
-  unsigned Blocked = H.Sched.RbWaiters & (0u - H.RbBusy);
-  return H.Sched.ReadyMask & ~Blocked;
-}
-
-bool Machine::stageIssue(unsigned CoreId) {
-  Core &C = Cores[CoreId];
-  unsigned Cand = 0;
-  for (unsigned K = 0; K != HartsPerCore; ++K)
-    Cand |= static_cast<unsigned>(issueCandidates(C.Harts[K]) != 0) << K;
+[[gnu::always_inline]] inline unsigned
+Machine::stageIssue(Core &C, unsigned CoreId, unsigned Cand) {
   const unsigned RR = C.IssueRR;
   for (unsigned R = rotateRight(Cand, RR, HartsPerCore); R != 0; R &= R - 1) {
     unsigned HIdx = (RR + __builtin_ctz(R)) % HartsPerCore;
@@ -755,15 +780,15 @@ bool Machine::stageIssue(unsigned CoreId) {
         C.IssueRR = (HIdx + 1) % HartsPerCore;
         if (Cfg.CollectStallStats)
           tallyIssueSlot(CoreId, IssuedSlot);
-        return true;
+        return HIdx;
       }
       if (Halted)
-        return false;
+        return NoHart;
     }
   }
   if (Cfg.CollectStallStats)
     tallyIssueSlot(CoreId, stallSlot(C));
-  return false;
+  return NoHart;
 }
 
 void Machine::tallyIssueSlot(unsigned CoreId, unsigned Slot) {
@@ -815,70 +840,6 @@ unsigned Machine::stallSlot(const Core &C) const {
   return static_cast<unsigned>(Cause);
 }
 
-namespace {
-/// How issue executes an opcode: its ExecClass from the opcode table
-/// (isa/Instr.h), which stays the one classification, refined where
-/// issue needs more: counter reads sample machine state, and the
-/// continuation-value load and store are X_PAR opcodes that access
-/// memory.
-enum class IssueKind : uint8_t {
-  Invalid,
-  Alu,
-  Mul,
-  Div,
-  Counter,
-  Branch,
-  Jump,
-  Mem,
-  XPar
-};
-
-constexpr IssueKind issueKindOf(Opcode Op) {
-  switch (Op) {
-  case Opcode::Invalid:
-  case Opcode::NumOpcodes:
-    return IssueKind::Invalid;
-  case Opcode::RDCYCLE:
-  case Opcode::RDINSTRET:
-    return IssueKind::Counter;
-  case Opcode::P_LWCV:
-  case Opcode::P_SWCV:
-    return IssueKind::Mem;
-  default:
-    break;
-  }
-  switch (instrInfo(Op).Class) {
-  case ExecClass::Alu:
-    return IssueKind::Alu;
-  case ExecClass::Mul:
-    return IssueKind::Mul;
-  case ExecClass::Div:
-    return IssueKind::Div;
-  case ExecClass::Branch:
-    return IssueKind::Branch;
-  case ExecClass::Jump:
-    return IssueKind::Jump;
-  case ExecClass::Load:
-  case ExecClass::Store:
-    return IssueKind::Mem;
-  case ExecClass::XPar:
-    return IssueKind::XPar;
-  }
-  return IssueKind::Invalid;
-}
-
-constexpr unsigned NumOpcodes = static_cast<unsigned>(Opcode::NumOpcodes);
-
-/// issueKindOf() for every opcode, worked out at compile time so that
-/// issue dispatches with one indexed load.
-constexpr std::array<IssueKind, NumOpcodes> IssueKinds = [] {
-  std::array<IssueKind, NumOpcodes> T{};
-  for (unsigned Op = 0; Op != NumOpcodes; ++Op)
-    T[Op] = issueKindOf(static_cast<Opcode>(Op));
-  return T;
-}();
-} // namespace
-
 bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
                        unsigned RobIdx) {
   Hart &H = Cores[CoreId].Harts[HartInCore];
@@ -886,6 +847,7 @@ bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
   const isa::Instr &I = E.I;
   uint32_t A = E.SrcVal[0];
   uint32_t B = E.SrcVal[1];
+  unsigned SelfId = hartId(CoreId, HartInCore);
 
   auto GrabRb = [&](uint32_t Value, uint64_t ReadyAt) {
     assert(!H.RbBusy && "double result-buffer allocation");
@@ -908,98 +870,243 @@ bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
     else
       FinishNoResult(Lat);
   };
+  // A control transfer resolved at issue publishes the next pc.
+  auto Redirect = [&](uint32_t Target) {
+    H.Pc = Target;
+    H.PcValid = true;
+    H.NoFetchUntil = Cycle + AluLatency;
+  };
+  auto Branch = [&](bool Taken) {
+    Redirect(E.Pc + (Taken ? static_cast<uint32_t>(I.Imm) : 4u));
+    FinishNoResult(AluLatency);
+  };
 
-  switch (IssueKinds[static_cast<unsigned>(I.Op)]) {
-  case IssueKind::Alu:
-    Complete(evalOp(I, A, B, E.Pc), AluLatency);
+  // The one dispatch of an issue. Each ALU, multiply, divide, jump and
+  // branch case calls its evaluator (sim/Exec.h) with the case's opcode
+  // as a constant, which folds the evaluator to that one operation.
+#define LBP_EVAL_CASE(OP, LATENCY)                                             \
+  case Opcode::OP:                                                             \
+    Complete(evalOp(Opcode::OP, A, B, I.Imm, E.Pc), LATENCY);                  \
     return true;
-  case IssueKind::Mul:
-    Complete(evalOp(I, A, B, E.Pc), MulLatency);
+#define LBP_BRANCH_CASE(OP)                                                    \
+  case Opcode::OP:                                                             \
+    Branch(evalBranch(Opcode::OP, A, B));                                      \
     return true;
-  case IssueKind::Div:
-    Complete(evalOp(I, A, B, E.Pc), DivLatency);
+  switch (I.Op) {
+  LBP_EVAL_CASE(LUI, AluLatency)
+  LBP_EVAL_CASE(AUIPC, AluLatency)
+  LBP_EVAL_CASE(ADDI, AluLatency)
+  LBP_EVAL_CASE(SLTI, AluLatency)
+  LBP_EVAL_CASE(SLTIU, AluLatency)
+  LBP_EVAL_CASE(XORI, AluLatency)
+  LBP_EVAL_CASE(ORI, AluLatency)
+  LBP_EVAL_CASE(ANDI, AluLatency)
+  LBP_EVAL_CASE(SLLI, AluLatency)
+  LBP_EVAL_CASE(SRLI, AluLatency)
+  LBP_EVAL_CASE(SRAI, AluLatency)
+  LBP_EVAL_CASE(ADD, AluLatency)
+  LBP_EVAL_CASE(SUB, AluLatency)
+  LBP_EVAL_CASE(SLL, AluLatency)
+  LBP_EVAL_CASE(SLT, AluLatency)
+  LBP_EVAL_CASE(SLTU, AluLatency)
+  LBP_EVAL_CASE(XOR, AluLatency)
+  LBP_EVAL_CASE(SRL, AluLatency)
+  LBP_EVAL_CASE(SRA, AluLatency)
+  LBP_EVAL_CASE(OR, AluLatency)
+  LBP_EVAL_CASE(AND, AluLatency)
+  LBP_EVAL_CASE(MUL, MulLatency)
+  LBP_EVAL_CASE(MULH, MulLatency)
+  LBP_EVAL_CASE(MULHSU, MulLatency)
+  LBP_EVAL_CASE(MULHU, MulLatency)
+  LBP_EVAL_CASE(DIV, DivLatency)
+  LBP_EVAL_CASE(DIVU, DivLatency)
+  LBP_EVAL_CASE(REM, DivLatency)
+  LBP_EVAL_CASE(REMU, DivLatency)
+  // JAL resolved its target at decode; both jumps produce the link
+  // value.
+  LBP_EVAL_CASE(JAL, AluLatency)
+  case Opcode::JALR:
+    Redirect((A + static_cast<uint32_t>(I.Imm)) & ~1u);
+    Complete(evalOp(Opcode::JALR, A, B, I.Imm, E.Pc), AluLatency);
     return true;
+  LBP_BRANCH_CASE(BEQ)
+  LBP_BRANCH_CASE(BNE)
+  LBP_BRANCH_CASE(BLT)
+  LBP_BRANCH_CASE(BGE)
+  LBP_BRANCH_CASE(BLTU)
+  LBP_BRANCH_CASE(BGEU)
+#undef LBP_EVAL_CASE
+#undef LBP_BRANCH_CASE
 
   // Counter reads sample machine state the pure evaluator cannot see.
   // Reading at issue keeps them deterministic (issue timing is
   // deterministic).
-  case IssueKind::Counter:
-    Complete(I.Op == Opcode::RDCYCLE ? static_cast<uint32_t>(Cycle)
-                                     : static_cast<uint32_t>(H.Retired),
-             AluLatency);
+  case Opcode::RDCYCLE:
+    Complete(static_cast<uint32_t>(Cycle), AluLatency);
+    return true;
+  case Opcode::RDINSTRET:
+    Complete(static_cast<uint32_t>(H.Retired), AluLatency);
     return true;
 
-  case IssueKind::Branch: {
-    bool Taken = evalBranch(I.Op, A, B);
-    H.Pc = E.Pc + (Taken ? static_cast<uint32_t>(I.Imm) : 4u);
-    H.PcValid = true;
-    H.NoFetchUntil = Cycle + AluLatency;
+  // Memory accesses: width in bytes, sign extension, direction.
+  case Opcode::LB:
+    return issueMemOp(CoreId, HartInCore, H, E, RobIdx, 1, true, false);
+  case Opcode::LH:
+    return issueMemOp(CoreId, HartInCore, H, E, RobIdx, 2, true, false);
+  case Opcode::LW:
+  case Opcode::P_LWCV:
+    return issueMemOp(CoreId, HartInCore, H, E, RobIdx, 4, false, false);
+  case Opcode::LBU:
+    return issueMemOp(CoreId, HartInCore, H, E, RobIdx, 1, false, false);
+  case Opcode::LHU:
+    return issueMemOp(CoreId, HartInCore, H, E, RobIdx, 2, false, false);
+  case Opcode::SB:
+    return issueMemOp(CoreId, HartInCore, H, E, RobIdx, 1, false, true);
+  case Opcode::SH:
+    return issueMemOp(CoreId, HartInCore, H, E, RobIdx, 2, false, true);
+  case Opcode::SW:
+  case Opcode::P_SWCV:
+    return issueMemOp(CoreId, HartInCore, H, E, RobIdx, 4, false, true);
+
+  // X_PAR.
+  case Opcode::P_SET:
+    GrabRb(hartRefSet(A, SelfId), Cycle + AluLatency);
+    return true;
+
+  case Opcode::P_MERGE:
+    GrabRb(hartRefMerge(A, B), Cycle + AluLatency);
+    return true;
+
+  case Opcode::P_SYNCM:
+    // The fetch block was raised at decode; the instruction itself is a
+    // one-cycle no-op in the window.
+    FinishNoResult(AluLatency);
+    return true;
+
+  case Opcode::P_FC: {
+    int Target = allocateHart(CoreId, SelfId);
+    if (Target < 0)
+      return false; // retry when a hart frees up
+    GrabRb(static_cast<uint32_t>(Target), Cycle + AluLatency);
+    return true;
+  }
+
+  case Opcode::P_FN: {
+    if (CoreId + 1 >= Cfg.NumCores) {
+      fault(formatString("p_fn on the last core (hart %u): teams cannot "
+                         "extend past the end of the line",
+                         SelfId));
+      return false;
+    }
+    int Target = allocateHart(CoreId + 1, SelfId);
+    if (Target < 0)
+      return false;
+    GrabRb(static_cast<uint32_t>(Target),
+           Cycle + 1 + 2 * ForwardLinkLatency);
+    return true;
+  }
+
+  case Opcode::P_JAL:
+  case Opcode::P_JALR: {
+    if (E.Flags & UopIsRet) {
+      // Ending protocol: values captured, decision at commit.
+      FinishNoResult(AluLatency);
+      return true;
+    }
+    // Fork-calls read the target hart's state (possibly on the next
+    // core).
+    uint32_t Target = hartRefSuccessor(A);
+    if (Target >= Cfg.numHarts()) {
+      fault(formatString("fork-call on hart %u targets nonexistent hart "
+                         "%u",
+                         SelfId, Target));
+      return false;
+    }
+    unsigned TargetCore = Target / HartsPerCore;
+    if (TargetCore != CoreId && TargetCore != CoreId + 1) {
+      fault(formatString("fork-call on hart %u targets hart %u beyond the "
+                         "next core",
+                         SelfId, Target));
+      return false;
+    }
+    if (hart(Target).State != HartState::Reserved) {
+      fault(formatString("fork-call on hart %u targets hart %u which is "
+                         "not reserved",
+                         SelfId, Target));
+      return false;
+    }
+    uint64_t Arrive = Net.routeForward(CoreId, TargetCore, Cycle);
+    schedule(Arrive,
+             {Delivery::Kind::StartHart, static_cast<uint16_t>(Target),
+              E.Pc + 4, 0, 0, 0, 4, 0, false, false, false});
+    // Local control transfer: p_jal jumped at decode, p_jalr jumps now.
+    if (I.Op == Opcode::P_JALR)
+      Redirect(B);
+    GrabRb(0, Cycle + AluLatency); // "clear rd"
+    return true;
+  }
+
+  case Opcode::P_SWRE: {
+    uint32_t Target = A & 0xFFFFu;
+    uint32_t Slot = static_cast<uint32_t>(I.Imm);
+    if (Target >= Cfg.numHarts() || Slot >= ResultSlots) {
+      fault(formatString("p_swre on hart %u with bad target %u or slot "
+                         "%u",
+                         SelfId, Target, Slot));
+      return false;
+    }
+    unsigned TargetCore = Target / HartsPerCore;
+    if (TargetCore > CoreId) {
+      fault(formatString("p_swre on hart %u targets hart %u: results may "
+                         "only travel to prior harts",
+                         SelfId, Target));
+      return false;
+    }
+    Delivery D;
+    D.K = Delivery::Kind::SlotFill;
+    D.HartId = static_cast<uint16_t>(Target);
+    D.Value = B;
+    D.Slot = static_cast<uint8_t>(Slot);
+    schedule(Net.routeBackward(CoreId, TargetCore, Cycle), D);
     FinishNoResult(AluLatency);
     return true;
   }
 
-  case IssueKind::Jump:
-    if (I.Op == Opcode::JALR) {
-      H.Pc = (A + static_cast<uint32_t>(I.Imm)) & ~1u;
-      H.PcValid = true;
-      H.NoFetchUntil = Cycle + AluLatency;
+  case Opcode::P_LWRE: {
+    uint32_t Slot = static_cast<uint32_t>(I.Imm);
+    if (Slot >= ResultSlots) {
+      fault(formatString("p_lwre on hart %u with bad slot %u", SelfId,
+                         Slot));
+      return false;
     }
-    // JAL resolved its target at decode; both produce the link value.
-    Complete(E.Pc + 4, AluLatency);
+    assert(H.SlotFull[Slot] && "issue condition checked slot fullness");
+    uint32_t Value = H.SlotVal[Slot];
+    H.SlotFull[Slot] = false;
+    // Refill from the backlog in arrival order.
+    for (auto It = H.SlotBacklog.begin(); It != H.SlotBacklog.end(); ++It) {
+      if (It->first == Slot) {
+        H.SlotFull[Slot] = true;
+        H.SlotVal[Slot] = It->second;
+        H.SlotBacklog.erase(It);
+        break;
+      }
+    }
+    GrabRb(Value, Cycle + AluLatency);
     return true;
+  }
 
-  case IssueKind::Mem:
-    return issueMemOp(CoreId, HartInCore, H, E, RobIdx);
-  case IssueKind::XPar:
-    return issueXPar(CoreId, HartInCore, H, E, RobIdx);
-  case IssueKind::Invalid:
+  case Opcode::Invalid:
+  case Opcode::NumOpcodes:
     break;
   }
   LBP_UNREACHABLE("decode admits no invalid instruction");
 }
 
 bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
-                         RobEntry &E, unsigned RobIdx) {
+                         RobEntry &E, unsigned RobIdx, unsigned Width,
+                         bool SignExt, bool IsWrite) {
   const isa::Instr &I = E.I;
   unsigned SelfId = hartId(CoreId, HartInCore);
-
-  // Decode access shape.
-  unsigned Width = 4;
-  bool SignExt = false;
-  bool IsWrite = false;
-  switch (I.Op) {
-  case Opcode::LB:
-    Width = 1;
-    SignExt = true;
-    break;
-  case Opcode::LH:
-    Width = 2;
-    SignExt = true;
-    break;
-  case Opcode::LBU:
-    Width = 1;
-    break;
-  case Opcode::LHU:
-    Width = 2;
-    break;
-  case Opcode::LW:
-  case Opcode::P_LWCV:
-    break;
-  case Opcode::SB:
-    Width = 1;
-    IsWrite = true;
-    break;
-  case Opcode::SH:
-    Width = 2;
-    IsWrite = true;
-    break;
-  case Opcode::SW:
-  case Opcode::P_SWCV:
-    IsWrite = true;
-    break;
-  default:
-    LBP_UNREACHABLE("not a memory op");
-  }
 
   // Effective address and (for writes) data.
   uint32_t Addr;
@@ -1158,177 +1265,12 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
   return true;
 }
 
-bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
-                        RobEntry &E, unsigned RobIdx) {
-  const isa::Instr &I = E.I;
-  unsigned SelfId = hartId(CoreId, HartInCore);
-  uint32_t A = E.SrcVal[0];
-  uint32_t B = E.SrcVal[1];
-
-  auto GrabRb = [&](uint32_t Value, uint64_t ReadyAt) {
-    assert(!H.RbBusy && "double result-buffer allocation");
-    H.RbBusy = true;
-    H.RbReady = true;
-    H.RbValue = Value;
-    H.RbReadyCycle = ReadyAt;
-    H.RbEntry = static_cast<int8_t>(RobIdx);
-    E.State = RobEntry::St::Issued;
-  };
-
-  switch (I.Op) {
-  case Opcode::P_SET:
-    GrabRb(hartRefSet(A, SelfId), Cycle + AluLatency);
-    return true;
-
-  case Opcode::P_MERGE:
-    GrabRb(hartRefMerge(A, B), Cycle + AluLatency);
-    return true;
-
-  case Opcode::P_SYNCM:
-    // The fetch block was raised at decode; the instruction itself is a
-    // one-cycle no-op in the window.
-    E.State = RobEntry::St::Done;
-    E.DoneCycle = Cycle + AluLatency;
-    return true;
-
-  case Opcode::P_FC: {
-    int Target = allocateHart(CoreId, SelfId);
-    if (Target < 0)
-      return false; // retry when a hart frees up
-    GrabRb(static_cast<uint32_t>(Target), Cycle + AluLatency);
-    return true;
-  }
-
-  case Opcode::P_FN: {
-    if (CoreId + 1 >= Cfg.NumCores) {
-      fault(formatString("p_fn on the last core (hart %u): teams cannot "
-                         "extend past the end of the line",
-                         SelfId));
-      return false;
-    }
-    int Target = allocateHart(CoreId + 1, SelfId);
-    if (Target < 0)
-      return false;
-    GrabRb(static_cast<uint32_t>(Target),
-           Cycle + 1 + 2 * ForwardLinkLatency);
-    return true;
-  }
-
-  case Opcode::P_JAL:
-  case Opcode::P_JALR: {
-    bool IsRet = I.Rd == 0 && I.Op == Opcode::P_JALR;
-    if (IsRet) {
-      // Ending protocol: values captured, decision at commit.
-      E.State = RobEntry::St::Done;
-      E.DoneCycle = Cycle + AluLatency;
-      return true;
-    }
-    // Fork-calls read the target hart's state (possibly on the next
-    // core).
-    uint32_t Target = hartRefSuccessor(A);
-    if (Target >= Cfg.numHarts()) {
-      fault(formatString("fork-call on hart %u targets nonexistent hart "
-                         "%u",
-                         SelfId, Target));
-      return false;
-    }
-    unsigned TargetCore = Target / HartsPerCore;
-    if (TargetCore != CoreId && TargetCore != CoreId + 1) {
-      fault(formatString("fork-call on hart %u targets hart %u beyond the "
-                         "next core",
-                         SelfId, Target));
-      return false;
-    }
-    if (hart(Target).State != HartState::Reserved) {
-      fault(formatString("fork-call on hart %u targets hart %u which is "
-                         "not reserved",
-                         SelfId, Target));
-      return false;
-    }
-    uint64_t Arrive = Net.routeForward(CoreId, TargetCore, Cycle);
-    schedule(Arrive,
-             {Delivery::Kind::StartHart, static_cast<uint16_t>(Target),
-              E.Pc + 4, 0, 0, 0, 4, 0, false, false, false});
-    // Local control transfer: p_jal jumped at decode, p_jalr jumps now.
-    if (I.Op == Opcode::P_JALR) {
-      H.Pc = B;
-      H.PcValid = true;
-      H.NoFetchUntil = Cycle + AluLatency;
-    }
-    GrabRb(0, Cycle + AluLatency); // "clear rd"
-    return true;
-  }
-
-  case Opcode::P_SWRE: {
-    uint32_t Target = A & 0xFFFFu;
-    uint32_t Slot = static_cast<uint32_t>(I.Imm);
-    if (Target >= Cfg.numHarts() || Slot >= ResultSlots) {
-      fault(formatString("p_swre on hart %u with bad target %u or slot "
-                         "%u",
-                         SelfId, Target, Slot));
-      return false;
-    }
-    unsigned TargetCore = Target / HartsPerCore;
-    if (TargetCore > CoreId) {
-      fault(formatString("p_swre on hart %u targets hart %u: results may "
-                         "only travel to prior harts",
-                         SelfId, Target));
-      return false;
-    }
-    Delivery D;
-    D.K = Delivery::Kind::SlotFill;
-    D.HartId = static_cast<uint16_t>(Target);
-    D.Value = B;
-    D.Slot = static_cast<uint8_t>(Slot);
-    schedule(Net.routeBackward(CoreId, TargetCore, Cycle), D);
-    E.State = RobEntry::St::Done;
-    E.DoneCycle = Cycle + AluLatency;
-    return true;
-  }
-
-  case Opcode::P_LWRE: {
-    uint32_t Slot = static_cast<uint32_t>(I.Imm);
-    if (Slot >= ResultSlots) {
-      fault(formatString("p_lwre on hart %u with bad slot %u", SelfId,
-                         Slot));
-      return false;
-    }
-    assert(H.SlotFull[Slot] && "issue condition checked slot fullness");
-    uint32_t Value = H.SlotVal[Slot];
-    H.SlotFull[Slot] = false;
-    // Refill from the backlog in arrival order.
-    for (auto It = H.SlotBacklog.begin(); It != H.SlotBacklog.end(); ++It) {
-      if (It->first == Slot) {
-        H.SlotFull[Slot] = true;
-        H.SlotVal[Slot] = It->second;
-        H.SlotBacklog.erase(It);
-        break;
-      }
-    }
-    GrabRb(Value, Cycle + AluLatency);
-    return true;
-  }
-
-  default:
-    LBP_UNREACHABLE("not an X_PAR opcode");
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Decode/rename stage
 //===----------------------------------------------------------------------===//
 
-bool Machine::stageDecode(unsigned CoreId) {
-  Core &C = Cores[CoreId];
-  unsigned Cand = 0;
-  for (unsigned K = 0; K != HartsPerCore; ++K) {
-    const Hart &H = C.Harts[K];
-    Cand |= static_cast<unsigned>(H.IbFull & (H.RobCount != RobEntries))
-            << K;
-  }
-  if (Cand == 0)
-    return false;
-
+[[gnu::always_inline]] inline unsigned
+Machine::stageDecode(Core &C, unsigned CoreId, unsigned Cand) {
   unsigned HIdx = firstHart(Cand, C.DecodeRR);
   C.DecodeRR = (HIdx + 1) % HartsPerCore;
   Hart &H = C.Harts[HIdx];
@@ -1346,7 +1288,7 @@ bool Machine::stageDecode(unsigned CoreId) {
     fault(formatString("invalid instruction 0x%08x at pc 0x%x (hart "
                        "%u)",
                        H.IbWord, H.IbPc, hartId(CoreId, HIdx)));
-    return true;
+    return HIdx;
   }
 
   // The entry is filled field by field: assigning a whole temporary
@@ -1397,31 +1339,24 @@ bool Machine::stageDecode(unsigned CoreId) {
 
   if (I.Op == Opcode::P_SYNCM)
     H.SyncmWait = true;
-  return true;
+  return HIdx;
 }
 
 //===----------------------------------------------------------------------===//
 // Fetch stage
 //===----------------------------------------------------------------------===//
 
-bool Machine::stageFetch(unsigned CoreId) {
-  Core &C = Cores[CoreId];
-  unsigned Cand = 0;
-  for (unsigned K = 0; K != HartsPerCore; ++K) {
-    Hart &H = C.Harts[K];
-    // Clear a satisfied p_syncm fetch block first. Not an "action" for
-    // the fast path: the enabling edge (OutstandingMem hitting zero) is
-    // a delivery, which woke this core for the same cycle, and the
-    // clear precedes the hart's eligibility test below.
-    if (H.SyncmWait && H.OutstandingMem == 0)
-      H.SyncmWait = false;
-    Cand |= static_cast<unsigned>((H.State == HartState::Running) &
-                                  H.PcValid & !H.IbFull & !H.SyncmWait &
-                                  (H.NoFetchUntil <= Cycle))
-            << K;
-  }
+[[gnu::always_inline]] inline unsigned
+Machine::stageFetch(Core &C, unsigned CoreId, unsigned Cand,
+                    unsigned SyncmDone) {
+  // Clear the satisfied p_syncm fetch blocks first, as the block's
+  // release. Not an "action" for the fast path: the enabling edge
+  // (OutstandingMem hitting zero) is a delivery, which woke this core for
+  // the same cycle, or this visit's decode of the p_syncm, which acted.
+  for (; SyncmDone != 0; SyncmDone &= SyncmDone - 1)
+    C.Harts[__builtin_ctz(SyncmDone)].SyncmWait = false;
   if (Cand == 0)
-    return false;
+    return NoHart;
 
   unsigned HIdx = firstHart(Cand, C.FetchRR);
   Hart &H = C.Harts[HIdx];
@@ -1429,7 +1364,7 @@ bool Machine::stageFetch(unsigned CoreId) {
     fault(formatString("fetch outside the code bank at 0x%08x (hart "
                        "%u)",
                        H.Pc, hartId(CoreId, HIdx)));
-    return true;
+    return HIdx;
   }
 
   C.FetchRR = (HIdx + 1) % HartsPerCore;
@@ -1439,7 +1374,7 @@ bool Machine::stageFetch(unsigned CoreId) {
   // The hart is suspended after every fetch until decode (or the
   // execute of a control transfer) publishes the next pc.
   H.PcValid = false;
-  return true;
+  return HIdx;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1467,17 +1402,70 @@ bool Machine::timerPending(const Core &C, uint64_t Now) const {
 }
 
 bool Machine::coreStages(unsigned CoreId) {
-  bool CoreActed = stageCommit(CoreId);
-  if (Halted)
-    return CoreActed;
-  CoreActed |= stageWriteback(CoreId);
-  CoreActed |= stageIssue(CoreId);
-  if (Halted)
-    return CoreActed;
-  CoreActed |= stageDecode(CoreId);
-  if (Halted)
-    return CoreActed;
-  return CoreActed | stageFetch(CoreId);
+  // Every stage's candidate mask in one pass over the harts. Only this
+  // core's stages change its harts during the visit (other cores touch
+  // them through deliveries, which land before the stages), and each
+  // action changes only its own hart's eligibility, so after an action
+  // the acting hart's bits for the later stages are the ones to re-test.
+  // A p_fc turns a Free hart Reserved, and every bit of both is 0.
+  Core &C = Cores[CoreId];
+  const uint64_t Now = Cycle;
+  unsigned CommitCand = 0, WbCand = 0, IssueCand = 0, DecodeCand = 0,
+           FetchCand = 0, SyncmDone = 0;
+  for (unsigned K = 0; K != HartsPerCore; ++K) {
+    const Hart &H = C.Harts[K];
+    CommitCand |= commitEligible(H, Now) << K;
+    WbCand |= writebackEligible(H, Now) << K;
+    IssueCand |= issueEligible(H) << K;
+    DecodeCand |= decodeEligible(H) << K;
+    FetchCand |= fetchEligible(H, Now) << K;
+    SyncmDone |= syncmSatisfied(H) << K;
+  }
+
+  bool Acted = false;
+  if (CommitCand != 0) {
+    unsigned K = stageCommit(C, CoreId, CommitCand);
+    if (K != NoHart) {
+      if (Halted)
+        return true;
+      Acted = true;
+      // The pop frees a ROB slot. A p_ret commit changes nothing else
+      // here: it was the hart's only entry, its pc was invalid since its
+      // fetch, and a return to self blocks fetch until the next cycle.
+      setHartBit(DecodeCand, K, decodeEligible(C.Harts[K]));
+    }
+  }
+  if (WbCand != 0) {
+    // Writeback wakes consumers and frees the result buffer.
+    unsigned K = stageWriteback(C, WbCand);
+    Acted = true;
+    setHartBit(IssueCand, K, issueEligible(C.Harts[K]));
+  }
+  // With stall tallies on, issue runs to count its slot.
+  if (IssueCand != 0 || Cfg.CollectStallStats) {
+    unsigned K = stageIssue(C, CoreId, IssueCand);
+    if (Halted)
+      return Acted;
+    if (K != NoHart) {
+      // A control transfer publishes the pc; a memory op raises
+      // OutstandingMem, which keeps a pending p_syncm blocking.
+      Acted = true;
+      const Hart &H = C.Harts[K];
+      setHartBit(FetchCand, K, fetchEligible(H, Now));
+      setHartBit(SyncmDone, K, syncmSatisfied(H));
+    }
+  }
+  if (DecodeCand != 0) {
+    // Decode empties the buffer, may publish the pc or raise a p_syncm.
+    unsigned K = stageDecode(C, CoreId, DecodeCand);
+    if (Halted)
+      return true;
+    Acted = true;
+    const Hart &H = C.Harts[K];
+    setHartBit(FetchCand, K, fetchEligible(H, Now));
+    setHartBit(SyncmDone, K, syncmSatisfied(H));
+  }
+  return stageFetch(C, CoreId, FetchCand, SyncmDone) != NoHart || Acted;
 }
 
 void Machine::cycleStages() {

@@ -253,20 +253,28 @@ private:
   void collectDue();
 
   // -- Pipeline stages (per core, one hart each per cycle) -------------
-  // Each returns true when the stage acted (selected a hart and changed
-  // state); the fast path uses this to decide whether a core may sleep.
-  bool stageCommit(unsigned CoreId);
-  bool stageWriteback(unsigned CoreId);
-  bool stageIssue(unsigned CoreId);
-  bool stageDecode(unsigned CoreId);
-  bool stageFetch(unsigned CoreId);
+  // coreStages builds every stage's 4-bit candidate mask in one loop over
+  // the core's harts and hands each stage its mask. A stage picks its
+  // hart from the mask round-robin and returns the hart that acted, or
+  // NoHart; the step then re-tests only that hart's bits the action can
+  // flip (docs/PERFORMANCE.md, "Serial hot path").
+  static constexpr unsigned NoHart = HartsPerCore;
+  unsigned stageCommit(Core &C, unsigned CoreId, unsigned Cand);
+  unsigned stageWriteback(Core &C, unsigned Cand);
+  unsigned stageIssue(Core &C, unsigned CoreId, unsigned Cand);
+  unsigned stageDecode(Core &C, unsigned CoreId, unsigned Cand);
+  /// Also clears the p_syncm block of the harts in \p SyncmDone, whose
+  /// issued accesses have all drained.
+  unsigned stageFetch(Core &C, unsigned CoreId, unsigned Cand,
+                      unsigned SyncmDone);
 
   // -- Issue helpers ---------------------------------------------------
+  /// Issues ROB entry \p RobIdx, dispatching once on its opcode; false
+  /// when it cannot issue this cycle (or faulted).
   bool tryIssue(unsigned CoreId, unsigned HartInCore, unsigned RobIdx);
   bool issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
-                  RobEntry &E, unsigned RobIdx);
-  bool issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H, RobEntry &E,
-                 unsigned RobIdx);
+                  RobEntry &E, unsigned RobIdx, unsigned Width, bool SignExt,
+                  bool IsWrite);
   /// The p_ret ending protocol, with the captured ra (\p Ra) and t0
   /// (\p T0) of the committed entry.
   void commitRet(unsigned CoreId, unsigned HartInCore, Hart &H, uint32_t Ra,
@@ -312,9 +320,10 @@ private:
   /// core whose stages did not act and that has no timer pending leaves
   /// the awake set until a wake.
   void cycleAwakeStages();
-  /// Runs \p CoreId's five stages for this cycle; true when any acted.
-  /// Leaves \p Halted set when a stage halted the machine; the caller
-  /// then records the core in HaltCore.
+  /// Runs \p CoreId's five stages for this cycle in one pass; true when
+  /// any acted. Both cycle loops call it. Leaves \p Halted set when a
+  /// stage halted the machine; the caller then records the core in
+  /// HaltCore.
   bool coreStages(unsigned CoreId);
   /// Deliveries on the wheel/overflow map targeting \p HartId.
   unsigned pendingDeliveriesFor(unsigned HartId) const;

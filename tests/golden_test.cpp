@@ -13,7 +13,13 @@
 // (same values as recorded there); the Det-C cells cover the compiled
 // corpus in examples/detc, including the p_swre/p_lwre result-slot path
 // of chunked_sum.c; the wide cell is the 64-core fork/join program of
-// tests/WideForkJoin.h, whose teams spread from 1 to 256 harts.
+// tests/WideForkJoin.h, whose teams spread from 1 to 256 harts. The two
+// p_syncm cells (tests/data/syncm_ack.s and syncm_release.s, 1 and 4
+// cores) pin when a p_syncm fetch block holds and when it is released:
+// a store issued in the cycle of the previous store's ack keeps it up,
+// the case where the core step must re-test fetch after an issue, and a
+// block decoded with nothing in flight is released in that cycle even
+// on a hart that loses the fetch slot.
 //
 // A legitimate change to the simulated machine moves these values; the
 // change must then say so and update them together with
@@ -152,6 +158,32 @@ TEST(Golden, DetCCorpus) {
     expectGolden(Asm, SimConfig::lbp(4), C.Want,
                  std::string("detc ") + C.Name);
   }
+}
+
+/// Pins tests/data/<Name>.s at 1 and 4 cores on both engines.
+void expectDataProgramGolden(const std::string &Name, const Golden &Want) {
+  std::string Path = std::string(LBP_SOURCE_DIR "/tests/data/") + Name + ".s";
+  std::ifstream In(Path);
+  ASSERT_TRUE(In.good()) << "cannot open " << Path;
+  std::ostringstream Src;
+  Src << In.rdbuf();
+  for (unsigned Cores : {1u, 4u})
+    expectGolden(Src.str(), SimConfig::lbp(Cores), Want,
+                 Name + " c" + std::to_string(Cores));
+}
+
+TEST(Golden, SyncmHoldsThroughAStoreIssuedAsTheLastAckLands) {
+  // In the cycle the first store's ack drains OutstandingMem, the second
+  // store issues and raises it again before fetch tests the p_syncm
+  // block, so the block holds.
+  expectDataProgramGolden("syncm_ack", {23, 13, 0x1be6cab6c9365420ULL});
+}
+
+TEST(Golden, SyncmReleasedAtDecodeStaysReleased) {
+  // A p_syncm decoded with nothing in flight is released by that
+  // cycle's fetch stage although the other hart wins the fetch, so the
+  // store its hart issues next cycle does not block it again.
+  expectDataProgramGolden("syncm_release", {46, 32, 0xb6e0bae5080b8c90ULL});
 }
 
 TEST(Golden, ChunkedSumExercisesResultSlots) {

@@ -16,16 +16,12 @@
 
 using namespace lbp;
 using namespace lbp::sim;
-using isa::Instr;
 using isa::Opcode;
 
 namespace {
 
 uint32_t op(Opcode Op, uint32_t A, uint32_t B, int32_t Imm = 0) {
-  Instr I;
-  I.Op = Op;
-  I.Imm = Imm;
-  return evalOp(I, A, B, /*Pc=*/0x1000);
+  return evalOp(Op, A, B, Imm, /*Pc=*/0x1000);
 }
 
 TEST(Exec, BasicAlu) {
